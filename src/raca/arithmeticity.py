@@ -119,8 +119,11 @@ def load_coxeter(source) -> CoxeterMatrix:
     try:
         size = int(data["size"])
         raw = data["m"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"diagram input missing field: {exc}") from exc
+    if not isinstance(raw, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in raw):
+        raise DomainError("diagram field m must be a list of rows")
 
     rows = []
     for row in raw:

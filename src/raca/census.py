@@ -11,7 +11,6 @@ attained exactly once.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,12 +23,13 @@ from .polyhedra import (
     READING_DISJOINT,
     READING_DISTINCT,
     AbstractPolyhedron,
-    andreev_check,
+    _andreev,
+    _canonical_form,
+    _face_statistics,
+    _lemma_rem,
+    _map_from_certificate,
+    _sphere_map,
     canonical_form,
-    face_statistics,
-    lemma_rem_check,
-    polyhedron_from_certificate,
-    validate,
 )
 from .volumes import VolumeReport, lobell_volume, mixed_lower_bound, named_volume
 
@@ -229,12 +229,11 @@ def _certify(degrees, adj):
     if not planar:
         return None
     faces = _embedding_faces(embedding)
-    p = AbstractPolyhedron(n, faces)
     try:
-        validate(p)
+        m = _sphere_map(AbstractPolyhedron(n, faces))
     except PolyhedronError:
         return None
-    return canonical_form(p)
+    return _canonical_form(m)
 
 
 def _extend(degrees, adj, i, reverse, out):
@@ -259,62 +258,21 @@ def _extend(degrees, adj, i, reverse, out):
             adj[j].remove(i)
 
 
-def _prefixes(degrees, depth, reverse):
-    """Partial edge sets after wiring vertices 0..depth-1, for task splitting."""
-    n = len(degrees)
-    states = []
-    adj = [set() for _ in range(n)]
+def _check_workers(workers):
+    """Reject a bad `workers` argument or RACA_THREADS value.
 
-    def rec(i):
-        if i == depth:
-            states.append(tuple(sorted(
-                (v, w) for v in range(n) for w in adj[v] if v < w)))
-            return
-        need = degrees[i] - len(adj[i])
-        for combo in _canonical_combos(_candidate_groups(i, degrees, adj), need, reverse):
-            for j in combo:
-                adj[i].add(j)
-                adj[j].add(i)
-            if _feasible(degrees, adj, i):
-                rec(i + 1)
-            for j in combo:
-                adj[i].remove(j)
-                adj[j].remove(i)
-
-    rec(0)
-    return states
-
-
-def _search_worker(args):
-    vi, vf, edges, depth, reverse = args
-    degrees = (4,) * vi + (3,) * vf
-    adj = [set() for _ in range(len(degrees))]
-    for v, w in edges:
-        adj[v].add(w)
-        adj[w].add(v)
-    out = set()
-    _extend(degrees, adj, depth, reverse, out)
-    return out
-
-
-def _resolve_workers(workers):
+    Both stay accepted, but the census always runs serially: at these sizes
+    process startup outweighs any fan-out win.
+    """
     if workers is not None:
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise DomainError("workers must be a positive integer")
     cap_text = os.environ.get("RACA_THREADS", "").strip()
-    cap = 0
     if cap_text:
         try:
-            cap = int(cap_text)
+            int(cap_text)
         except ValueError:
             raise DomainError(f"RACA_THREADS must be an integer, got {cap_text!r}")
-        cap = max(cap, 0)
-    # Auto means serial: the census sizes here are small enough that process
-    # startup dominates any fan-out win.
-    effective = workers if workers is not None else 1
-    if cap:
-        effective = min(effective, cap)
-    return max(effective, 1)
 
 
 @lru_cache(maxsize=None)
@@ -341,43 +299,30 @@ def _type_volume(cert: str, pair: CandidatePair):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(vi, vf, reading, reverse, workers):
+def _enumerate_cached(vi, vf, reading, reverse):
     degrees = (4,) * vi + (3,) * vf
     certs = set()
-    if workers > 1:
-        depth = 2 if len(degrees) > 4 else 1
-        tasks = [(vi, vf, state, depth, reverse)
-                 for state in _prefixes(degrees, depth, reverse)]
-        if len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                for part in pool.map(_search_worker, tasks):
-                    certs.update(part)
-        else:
-            workers = 1
-    if workers <= 1:
-        adj = [set() for _ in degrees]
-        _extend(degrees, adj, 0, reverse, certs)
+    _extend(degrees, [set() for _ in degrees], 0, reverse, certs)
 
     survivors = []
     reps = []
     for cert in sorted(certs):
-        p = polyhedron_from_certificate(cert)
-        profile = validate(p)
-        stats = face_statistics(p)
+        m = _map_from_certificate(cert)
+        profile = m.profile
+        stats = _face_statistics(m)
         if (profile.v_inf, profile.v_f) != (vi, vf):
             raise RacaError(f"census invariant violated: degree partition of {cert}")
         if profile.f != vi + vf // 2 + 2:
             raise RacaError(f"census invariant violated: F != V_ideal + V_finite/2 + 2 for {cert}")
         if stats.w != 4 * vi + 3 * vf or stats.wi != 4 * vi:
             raise RacaError(f"census invariant violated: W identity for {cert}")
-        result = andreev_check(p, condition3_reading=reading)
-        if not result.passed:
+        if not _andreev(m, reading).passed:
             continue
-        if not lemma_rem_check(p).passed:
+        if not _lemma_rem(m).passed:
             raise RacaError(
                 f"census invariant violated: realizable type fails the face lemma: {cert}")
         survivors.append(cert)
-        reps.append(p)
+        reps.append(m.poly)
 
     volume = None
     if len(survivors) == 1:
@@ -400,7 +345,7 @@ def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
     Enumerates every abstract polyhedron with exactly pair.v_inf degree-4
     and pair.v_f degree-3 vertices up to isomorphism (reflections included),
     keeps those passing andreev_check, and returns sorted certificates.
-    The result is independent of branching order and worker count.
+    The result is independent of branching order.
     """
     if not isinstance(pair, CandidatePair):
         pair = CandidatePair(*pair)
@@ -409,9 +354,9 @@ def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
     if pair.v_inf + pair.v_f > _ENUMERATION_CAP:
         raise ResourceLimitError(
             f"enumeration limited to V_ideal + V_finite <= {_ENUMERATION_CAP}")
-    effective = _resolve_workers(workers)
+    _check_workers(workers)
     return _enumerate_cached(
-        pair.v_inf, pair.v_f, condition3_reading, bool(reverse_branching), effective)
+        pair.v_inf, pair.v_f, condition3_reading, bool(reverse_branching))
 
 
 def verify_minimality(*, condition3_reading: str = READING_DISJOINT,

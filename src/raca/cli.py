@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except (DomainError, PolyhedronError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

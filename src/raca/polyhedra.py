@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import (
     BAD_DEGREE,
@@ -98,7 +98,7 @@ def load_polyhedron(source) -> AbstractPolyhedron:
                 data = json.load(fh)
     try:
         return AbstractPolyhedron(int(data["vertex_count"]), data["faces"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"polyhedron input missing field: {exc}") from exc
 
 
@@ -109,23 +109,7 @@ def _face_edges(face):
         yield (a, b) if a < b else (b, a)
 
 
-def _edge_counts(p: AbstractPolyhedron) -> Counter:
-    counts = Counter()
-    for face in p.faces:
-        counts.update(_face_edges(face))
-    return counts
-
-
-def _adjacency(p: AbstractPolyhedron) -> dict:
-    adj = defaultdict(set)
-    for face in p.faces:
-        for a, b in _face_edges(face):
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
-def _connected(adj: dict, vertices: set, removed=frozenset()) -> bool:
+def _connected(adj: dict, vertices, removed=frozenset()) -> bool:
     alive = [v for v in vertices if v not in removed]
     if not alive:
         return False
@@ -140,13 +124,19 @@ def _connected(adj: dict, vertices: set, removed=frozenset()) -> bool:
     return len(seen) == len(alive)
 
 
-def validate(p: AbstractPolyhedron) -> CombinatorialProfile:
-    """Check all structural invariants; return the vertex/edge/face profile.
+@dataclass(frozen=True)
+class _SphereMap:
+    """A polyhedron that passed validation, with the incidences every check reads."""
 
-    Raises PolyhedronError with a stable code naming the first failed check:
-    bad_index, bad_face, edge_face_count, multi_adjacent_faces, disconnected,
-    not_3_connected, bad_degree, euler.
-    """
+    poly: AbstractPolyhedron
+    adj: dict         # vertex -> set of neighbouring vertices
+    edge_faces: dict  # primal edge (a, b), a < b -> its two faces [i, j], i < j
+    dual: list        # face -> {neighbouring face: shared primal edge}
+    profile: CombinatorialProfile
+
+
+def _sphere_map(p: AbstractPolyhedron) -> _SphereMap:
+    """Run the structural checks of `validate` once and keep what they built."""
     n = p.vertex_count
     for face in p.faces:
         for v in face:
@@ -156,76 +146,103 @@ def validate(p: AbstractPolyhedron) -> CombinatorialProfile:
         if len(face) < 3 or len(set(face)) != len(face):
             raise PolyhedronError(BAD_FACE, f"face {face} needs >= 3 distinct vertices")
 
-    counts = _edge_counts(p)
-    for edge, c in counts.items():
-        if c != 2:
-            raise PolyhedronError(EDGE_FACE_COUNT, f"edge {edge} lies in {c} faces, expected 2")
-
-    by_edge = defaultdict(list)
+    edge_faces = defaultdict(list)
     for fi, face in enumerate(p.faces):
         for edge in _face_edges(face):
-            by_edge[edge].append(fi)
-    pair_shares = Counter()
-    for edge, fs in by_edge.items():
-        pair_shares[tuple(sorted(fs))] += 1
-    for (fa, fb), c in pair_shares.items():
+            edge_faces[edge].append(fi)
+    for edge, fs in edge_faces.items():
+        if len(fs) != 2:
+            raise PolyhedronError(
+                EDGE_FACE_COUNT, f"edge {edge} lies in {len(fs)} faces, expected 2")
+    for (fa, fb), c in Counter(tuple(fs) for fs in edge_faces.values()).items():
         if c > 1:
             raise PolyhedronError(
                 MULTI_ADJACENT_FACES, f"faces {fa} and {fb} share {c} edges")
 
-    adj = _adjacency(p)
-    vertices = set(range(n))
-    if not _connected(adj, vertices):
+    adj = defaultdict(set)
+    for a, b in edge_faces:
+        adj[a].add(b)
+        adj[b].add(a)
+    # a vertex in no face is isolated: caught before any work of size n
+    if (n > 1 and len(adj) < n) or not _connected(adj, range(n)):
         raise PolyhedronError(DISCONNECTED, "1-skeleton is not connected")
 
-    if n >= 4:
-        for u, w in combinations(range(n), 2):
-            if not _connected(adj, vertices, removed=frozenset((u, w))):
-                raise PolyhedronError(
-                    NOT_3_CONNECTED, f"removing vertices {u},{w} disconnects the 1-skeleton")
-    else:
+    if n < 4:
         raise PolyhedronError(NOT_3_CONNECTED, "fewer than 4 vertices")
+    for u, w in combinations(range(n), 2):
+        if not _connected(adj, range(n), removed=frozenset((u, w))):
+            raise PolyhedronError(
+                NOT_3_CONNECTED, f"removing vertices {u},{w} disconnects the 1-skeleton")
 
-    degrees = {v: len(adj[v]) for v in range(n)}
-    for v, d in degrees.items():
-        if d not in (3, 4):
-            raise PolyhedronError(BAD_DEGREE, f"vertex {v} has degree {d}, expected 3 or 4")
+    for v in range(n):
+        if len(adj[v]) not in (3, 4):
+            raise PolyhedronError(
+                BAD_DEGREE, f"vertex {v} has degree {len(adj[v])}, expected 3 or 4")
 
-    e = len(counts)
+    e = len(edge_faces)
     f = len(p.faces)
     if n - e + f != 2:
         raise PolyhedronError(EULER, f"V - E + F = {n - e + f}, expected 2")
 
-    v_inf = sum(1 for d in degrees.values() if d == 4)
-    return CombinatorialProfile(v_inf=v_inf, v_f=n - v_inf, e=e, f=f)
+    dual = [{} for _ in range(f)]
+    for edge, (fa, fb) in edge_faces.items():
+        dual[fa][fb] = dual[fb][fa] = edge
+    v_inf = sum(1 for v in range(n) if len(adj[v]) == 4)
+    return _SphereMap(p, adj, edge_faces, dual,
+                      CombinatorialProfile(v_inf=v_inf, v_f=n - v_inf, e=e, f=f))
+
+
+def validate(p: AbstractPolyhedron) -> CombinatorialProfile:
+    """Check all structural invariants; return the vertex/edge/face profile.
+
+    Raises PolyhedronError with a stable code naming the first failed check:
+    bad_index, bad_face, edge_face_count, multi_adjacent_faces, disconnected,
+    not_3_connected, bad_degree, euler.
+    """
+    return _sphere_map(p).profile
+
+
+def _face_statistics(m: _SphereMap) -> FaceStatistics:
+    faces = m.poly.faces
+    sizes = Counter(len(face) for face in faces)
+    w = sum(len(face) for face in faces)
+    wi = sum(1 for face in faces for v in face if len(m.adj[v]) == 4)
+    return FaceStatistics(p=dict(sizes), w=w, wi=wi)
 
 
 def face_statistics(p: AbstractPolyhedron) -> FaceStatistics:
     """Face vector p_n plus the weighted counts W and WI."""
-    validate(p)
-    adj = _adjacency(p)
-    sizes = Counter(len(face) for face in p.faces)
-    w = sum(len(face) for face in p.faces)
-    wi = sum(1 for face in p.faces for v in face if len(adj[v]) == 4)
-    return FaceStatistics(p=dict(sizes), w=w, wi=wi)
+    return _face_statistics(_sphere_map(p))
 
 
 def dual_graph(p: AbstractPolyhedron) -> DualGraph:
-    validate(p)
-    by_edge = defaultdict(list)
-    for fi, face in enumerate(p.faces):
-        for edge in _face_edges(face):
-            by_edge[edge].append(fi)
-    dual_edges = []
-    for edge, (fa, fb) in sorted(by_edge.items()):
-        i, j = min(fa, fb), max(fa, fb)
-        dual_edges.append((i, j, edge))
-    dual_edges.sort()
-    return DualGraph(face_count=len(p.faces), edges=tuple(dual_edges))
+    m = _sphere_map(p)
+    edges = sorted((i, j, edge) for edge, (i, j) in m.edge_faces.items())
+    return DualGraph(face_count=len(p.faces), edges=tuple(edges))
 
 
 def _disjoint(e1, e2) -> bool:
     return not (set(e1) & set(e2))
+
+
+def _prismatic(m: _SphereMap, k: int) -> list:
+    # each k-cycle of faces once: smallest face first, then its smaller neighbour
+    dual = m.dual
+    found = []
+    for a, around in enumerate(dual):
+        for b in around:
+            if b < a:
+                continue
+            if k == 3:
+                cycles = [(a, b, c) for c in dual[b] if c > b and c in around]
+            else:
+                cycles = [(a, b, c, d) for c in dual[b] if c > a
+                          for d in dual[c] if d > b and d in around]
+            for cycle in cycles:
+                ends = {v for i in range(k) for v in dual[cycle[i - 1]][cycle[i]]}
+                if len(ends) == 2 * k:  # the k crossed edges are pairwise disjoint
+                    found.append(cycle)
+    return sorted(found)
 
 
 def prismatic_circuits(p: AbstractPolyhedron, k: int) -> list:
@@ -237,42 +254,42 @@ def prismatic_circuits(p: AbstractPolyhedron, k: int) -> list:
     """
     if k not in (3, 4):
         raise DomainError("prismatic_circuits: k must be 3 or 4")
-    dg = dual_graph(p)
-    edge_of = {}
-    for i, j, primal in dg.edges:
-        edge_of[(i, j)] = primal
-        edge_of[(j, i)] = primal
-
-    found = set()
-    if k == 3:
-        for fa, fb, fc in combinations(range(dg.face_count), 3):
-            pairs = ((fa, fb), (fb, fc), (fa, fc))
-            if all(pr in edge_of for pr in pairs):
-                edges = [edge_of[pr] for pr in pairs]
-                if all(_disjoint(x, y) for x, y in combinations(edges, 2)):
-                    found.add((fa, fb, fc))
-    else:
-        for quad in combinations(range(dg.face_count), 4):
-            for mid in permutations(quad[1:], 3):
-                cycle = (quad[0],) + mid
-                if cycle[1] > cycle[3]:
-                    continue  # each 4-cycle once, up to direction
-                pairs = [(cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
-                if not all(pr in edge_of for pr in pairs):
-                    continue
-                edges = [edge_of[pr] for pr in pairs]
-                if all(_disjoint(x, y) for x, y in combinations(edges, 2)):
-                    found.add(cycle)
-    return sorted(found)
-
-
-def _degree_map(p: AbstractPolyhedron) -> dict:
-    adj = _adjacency(p)
-    return {v: len(adj[v]) for v in range(p.vertex_count)}
+    return _prismatic(_sphere_map(p), k)
 
 
 READING_DISJOINT = "disjoint_endpoints"
 READING_DISTINCT = "distinct_edges"
+
+
+def _andreev(m: _SphereMap, reading: str) -> AndreevResult:
+    for k in (3, 4):
+        circuits = _prismatic(m, k)
+        if circuits:
+            return AndreevResult(False, 4, circuits[0], reading)
+
+    faces = m.poly.faces
+    if len(faces) < 6:
+        return AndreevResult(False, 1, len(faces), reading)
+
+    for v in range(m.poly.vertex_count):
+        if len(m.adj[v]) not in (3, 4):  # unreachable after validation; kept for clarity
+            return AndreevResult(False, 2, (v, len(m.adj[v])), reading)
+
+    face_sets = [set(face) for face in faces]
+    for fj, around in enumerate(m.dual):
+        for fi, fk in combinations(sorted(around), 2):
+            e_ij = around[fi]
+            e_jk = around[fk]
+            if reading == READING_DISJOINT:
+                if not _disjoint(e_ij, e_jk):
+                    continue
+            else:
+                if e_ij == e_jk:
+                    continue
+            if face_sets[fi] & face_sets[fk]:
+                return AndreevResult(False, 3, (fi, fj, fk), reading)
+
+    return AndreevResult(True, None, None, reading)
 
 
 def andreev_check(p: AbstractPolyhedron, condition3_reading: str = READING_DISJOINT) -> AndreevResult:
@@ -293,58 +310,22 @@ def andreev_check(p: AbstractPolyhedron, condition3_reading: str = READING_DISJO
     """
     if condition3_reading not in (READING_DISJOINT, READING_DISTINCT):
         raise DomainError(f"unknown condition3 reading {condition3_reading!r}")
-    validate(p)
-
-    for k in (3, 4):
-        circuits = prismatic_circuits(p, k)
-        if circuits:
-            return AndreevResult(False, 4, circuits[0], condition3_reading)
-
-    if len(p.faces) < 6:
-        return AndreevResult(False, 1, len(p.faces), condition3_reading)
-
-    degrees = _degree_map(p)
-    for v, d in degrees.items():
-        if d not in (3, 4):  # unreachable after validate; kept for clarity
-            return AndreevResult(False, 2, (v, d), condition3_reading)
-
-    dg = dual_graph(p)
-    edge_of = {}
-    for i, j, primal in dg.edges:
-        edge_of[(i, j)] = primal
-        edge_of[(j, i)] = primal
-    face_sets = [set(face) for face in p.faces]
-    nbrs = defaultdict(set)
-    for i, j, _ in dg.edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    for fj in range(dg.face_count):
-        for fi, fk in combinations(sorted(nbrs[fj]), 2):
-            e_ij = edge_of[(fi, fj)]
-            e_jk = edge_of[(fj, fk)]
-            if condition3_reading == READING_DISJOINT:
-                if not _disjoint(e_ij, e_jk):
-                    continue
-            else:
-                if e_ij == e_jk:
-                    continue
-            if face_sets[fi] & face_sets[fk]:
-                return AndreevResult(False, 3, (fi, fj, fk), condition3_reading)
-
-    return AndreevResult(True, None, None, condition3_reading)
+    return _andreev(_sphere_map(p), condition3_reading)
 
 
-def lemma_rem_check(p: AbstractPolyhedron) -> LemmaResult:
-    """Necessary ideal-vertex counts per face: >=2 on triangles, >=1 on quads."""
-    validate(p)
-    degrees = _degree_map(p)
-    for face in p.faces:
-        ideal = sum(1 for v in face if degrees[v] == 4)
+def _lemma_rem(m: _SphereMap) -> LemmaResult:
+    for face in m.poly.faces:
+        ideal = sum(1 for v in face if len(m.adj[v]) == 4)
         if len(face) == 3 and ideal < 2:
             return LemmaResult(False, face, ideal)
         if len(face) == 4 and ideal < 1:
             return LemmaResult(False, face, ideal)
     return LemmaResult(True, None, None)
+
+
+def lemma_rem_check(p: AbstractPolyhedron) -> LemmaResult:
+    """Necessary ideal-vertex counts per face: >=2 on triangles, >=1 on quads."""
+    return _lemma_rem(_sphere_map(p))
 
 
 # --- canonical certificates ------------------------------------------------
@@ -357,34 +338,27 @@ def lemma_rem_check(p: AbstractPolyhedron) -> LemmaResult:
 # minimum serialization is the certificate.  Two polyhedra are isomorphic
 # (allowing reflection) iff their certificates are equal.
 
-def _oriented_faces(p: AbstractPolyhedron) -> list:
-    by_edge = defaultdict(list)
-    for fi, face in enumerate(p.faces):
-        for edge in _face_edges(face):
-            by_edge[edge].append(fi)
-    adj_faces = defaultdict(set)
-    for edge, (fa, fb) in by_edge.items():
-        adj_faces[fa].add(fb)
-        adj_faces[fb].add(fa)
+def _oriented_faces(m: _SphereMap) -> list:
+    faces = m.poly.faces
 
     def directed_edges(face):
         return {(face[i], face[(i + 1) % len(face)]) for i in range(len(face))}
 
-    oriented = {0: tuple(p.faces[0])}
+    oriented = {0: faces[0]}
     queue = deque([0])
     while queue:
         fi = queue.popleft()
         cur = directed_edges(oriented[fi])
-        for fj in adj_faces[fi]:
+        for fj in m.dual[fi]:
             if fj in oriented:
                 continue
-            cand = tuple(p.faces[fj])
+            cand = faces[fj]
             # the shared edge must be traversed oppositely by the neighbor
             if directed_edges(cand) & cur:
                 cand = tuple(reversed(cand))
             oriented[fj] = cand
             queue.append(fj)
-    return [oriented[i] for i in range(len(p.faces))]
+    return [oriented[i] for i in range(len(faces))]
 
 
 def _rotation_system(faces) -> dict:
@@ -398,21 +372,24 @@ def _rotation_system(faces) -> dict:
     return nxt
 
 
-def canonical_form(p: AbstractPolyhedron) -> str:
-    """Canonical certificate, invariant under relabeling and reflection."""
-    validate(p)
-    faces = _oriented_faces(p)
-    rotation = _rotation_system(faces)
+def _canonical_form(m: _SphereMap) -> str:
+    n = m.poly.vertex_count
+    rotation = _rotation_system(_oriented_faces(m))
     inverse = {v: k for k, v in rotation.items()}
     best = None
     darts = sorted(rotation.keys())
     for rot in (rotation, inverse):  # second pass covers the mirror image
         for start in darts:
-            code = _bfs_code(p.vertex_count, rot, start)
+            code = _bfs_code(n, rot, start)
             if best is None or code < best:
                 best = code
     payload = ";".join(",".join(str(x) for x in row) for row in best)
-    return f"c{p.vertex_count}|{payload}"
+    return f"c{n}|{payload}"
+
+
+def canonical_form(p: AbstractPolyhedron) -> str:
+    """Canonical certificate, invariant under relabeling and reflection."""
+    return _canonical_form(_sphere_map(p))
 
 
 def _bfs_code(n, rotation, start) -> tuple:
@@ -454,6 +431,10 @@ def polyhedron_from_certificate(cert: str) -> AbstractPolyhedron:
     map, so the face set can be recovered by tracing dart orbits.  The result
     is validated and its own certificate is required to round-trip.
     """
+    return _map_from_certificate(cert).poly
+
+
+def _map_from_certificate(cert: str) -> _SphereMap:
     head, sep, payload = cert.partition("|")
     if not sep or not head.startswith("c"):
         raise DomainError(f"malformed certificate {cert!r}")
@@ -494,11 +475,10 @@ def polyhedron_from_certificate(cert: str) -> AbstractPolyhedron:
             raise DomainError("certificate face walk does not close")
         faces.append(tuple(face))
 
-    p = AbstractPolyhedron(n, faces)
     try:
-        validate(p)
+        m = _sphere_map(AbstractPolyhedron(n, faces))
     except PolyhedronError as exc:
         raise DomainError(f"certificate does not encode a valid polyhedron: {exc}") from exc
-    if canonical_form(p) != cert:
+    if _canonical_form(m) != cert:
         raise DomainError("string is not a canonical certificate")
-    return p
+    return m

@@ -1,6 +1,7 @@
 """Command line interface: output formats and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -21,10 +22,17 @@ def files(tmp_path):
         ("tri463", TRI463),
         ("d444", D444),
         ("badpoly", {"vertex_count": 5, "faces": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}),
+        ("textcount", {"vertex_count": "abc", "faces": [[0, 1, 2]]}),
+        ("infcount", {"vertex_count": math.inf, "faces": [[0, 1, 2]]}),
+        ("scalar_m", {"size": 2, "m": 7}),
+        ("infsize", {"size": math.inf, "m": [[1]]}),
     ]:
         p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(payload))
+        p.write_text(json.dumps(payload))  # infinity is written as Infinity
         paths[name] = str(p)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")  # not UTF-8
+    paths["binary"] = str(binary)
     return paths
 
 
@@ -149,6 +157,10 @@ def test_check_error_paths(capsys, files, tmp_path):
     bad = tmp_path / "notjson.json"
     bad.write_text("{")
     assert main(["check", "stats", str(bad)]) == 3
+    assert main(["check", "stats", files["textcount"]]) == 3
+    assert main(["check", "stats", files["infcount"]]) == 3
+    assert main(["check", "stats", files["binary"]]) == 3
+    assert main(["check", "andreev", files["binary"]]) == 3
     capsys.readouterr()
 
 
@@ -202,6 +214,9 @@ def test_arith(capsys, files):
     assert data["arithmetic"] is True and data["witness_cycle"] is None
 
     assert main(["arith", "check", files["cube"]]) == 3
+    assert main(["arith", "check", files["scalar_m"]]) == 3
+    assert main(["arith", "check", files["infsize"]]) == 3
+    assert main(["arith", "check", files["binary"]]) == 3
     capsys.readouterr()
 
 

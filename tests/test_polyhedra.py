@@ -2,10 +2,11 @@
 
 import json
 import random
+from itertools import combinations, permutations
 
 import pytest
 
-from raca import catalog
+from raca import catalog, polyhedra
 from raca.errors import DomainError, PolyhedronError
 from raca.polyhedra import (
     READING_DISJOINT,
@@ -99,6 +100,43 @@ def test_validation_error_codes(code, vertex_count, faces):
     assert exc.value.code == code
 
 
+def test_vertex_count_beyond_the_faces_is_disconnected():
+    # rejected from the faces alone: nothing of size vertex_count is built
+    tet = catalog.tetrahedron()
+    with pytest.raises(PolyhedronError) as exc:
+        validate(AbstractPolyhedron(10**12, tet.faces))
+    assert exc.value.code == "disconnected"
+
+
+def test_each_public_function_builds_the_map_once(monkeypatch):
+    builds = []
+    build = polyhedra._sphere_map
+
+    def counted(p):
+        builds.append(p)
+        return build(p)
+
+    monkeypatch.setattr(polyhedra, "_sphere_map", counted)
+    p = catalog.p34()
+    cert = canonical_form(catalog.p34())
+    calls = {
+        "validate": lambda: validate(p),
+        "face_statistics": lambda: face_statistics(p),
+        "dual_graph": lambda: dual_graph(p),
+        "prismatic_circuits_3": lambda: prismatic_circuits(p, 3),
+        "prismatic_circuits_4": lambda: prismatic_circuits(p, 4),
+        "andreev_check": lambda: andreev_check(p),
+        "andreev_check_distinct": lambda: andreev_check(p, READING_DISTINCT),
+        "lemma_rem_check": lambda: lemma_rem_check(p),
+        "canonical_form": lambda: canonical_form(p),
+        "polyhedron_from_certificate": lambda: polyhedron_from_certificate(cert),
+    }
+    for name, call in calls.items():
+        builds.clear()
+        call()
+        assert len(builds) == 1, name
+
+
 def test_load_polyhedron_sources(tmp_path):
     data = catalog.p32().to_dict()
     from_dict = load_polyhedron(data)
@@ -109,6 +147,8 @@ def test_load_polyhedron_sources(tmp_path):
     assert from_dict == from_json == from_file == catalog.p32()
     with pytest.raises(DomainError):
         load_polyhedron({"faces": [[0, 1, 2]]})
+    with pytest.raises(DomainError):
+        load_polyhedron({"vertex_count": "abc", "faces": [[0, 1, 2]]})
 
 
 def test_prismatic_circuits():
@@ -125,6 +165,48 @@ def test_prismatic_circuits():
 
     with pytest.raises(DomainError):
         prismatic_circuits(cube, 5)
+
+
+def _prismatic_reference(p, k):
+    """Brute force over every k-subset of faces and every cyclic order."""
+    dg = dual_graph(p)
+    edge_of = {}
+    for i, j, primal in dg.edges:
+        edge_of[(i, j)] = edge_of[(j, i)] = primal
+    nbrs = [set(dg.neighbors(i)) for i in range(dg.face_count)]
+    found = []
+    for first, *rest in combinations(range(dg.face_count), k):
+        if len(nbrs[first].intersection(rest)) < 2:
+            continue  # the first face needs two neighbours on the cycle
+        for mid in permutations(rest):
+            cycle = (first, *mid)
+            if cycle[1] > cycle[-1]:
+                continue  # each cycle once, up to direction
+            pairs = [(cycle[i - 1], cycle[i]) for i in range(k)]
+            if all(pr in edge_of for pr in pairs):
+                edges = [edge_of[pr] for pr in pairs]
+                if all(not set(x) & set(y) for x, y in combinations(edges, 2)):
+                    found.append(cycle)
+    return sorted(found)
+
+
+_CIRCUIT_CASES = {
+    **{f"lobell{n}": (lambda n=n: catalog.lobell(n)) for n in range(5, 13)},
+    **{f"antiprism{n}": (lambda n=n: catalog.antiprism(n)) for n in range(3, 17)},
+    "cube": catalog.cube,
+    "triangular_prism": catalog.triangular_prism,
+    "P28": catalog.p28,
+    "P32": catalog.p32,
+    "P34": catalog.p34,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CIRCUIT_CASES))
+def test_prismatic_walk_matches_brute_force(name):
+    base = _CIRCUIT_CASES[name]()
+    for q in [base] + [_relabeled(base, seed) for seed in range(5)]:
+        for k in (3, 4):
+            assert prismatic_circuits(q, k) == _prismatic_reference(q, k), (name, k)
 
 
 def test_prismatic_circuit_count_is_isomorphism_invariant():
