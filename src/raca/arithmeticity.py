@@ -11,11 +11,10 @@ here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _read_json
 from .surd import SurdInteger
 
 INF = math.inf
@@ -107,15 +106,7 @@ def load_coxeter(source) -> CoxeterMatrix:
     """
     if isinstance(source, CoxeterMatrix):
         return source
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text) as fh:
-                data = json.load(fh)
+    data = _read_json(source)
     try:
         size = int(data["size"])
         raw = data["m"]

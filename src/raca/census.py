@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
-
 from . import catalog
 from .errors import DomainError, PolyhedronError, RacaError, ResourceLimitError
 from .lobachevsky import catalan_constant, v_oct
@@ -25,6 +23,7 @@ from .polyhedra import (
     AbstractPolyhedron,
     _andreev,
     _canonical_form,
+    _connected,
     _face_statistics,
     _lemma_rem,
     _map_from_certificate,
@@ -203,43 +202,57 @@ def _feasible(degrees, adj, i):
     return total % 2 == 0
 
 
-def _embedding_faces(embedding):
-    seen = set()
-    faces = []
-    for dart in embedding.edges():
-        if dart in seen:
-            continue
-        walk = embedding.traverse_face(*dart, mark_half_edges=seen)
-        faces.append(tuple(walk))
-    return faces
+def _peripheral_cycles(adj):
+    """Induced cycles whose removal leaves the graph connected, each once.
+
+    A cycle is listed from its smallest vertex, with the second vertex
+    smaller than the last.  In a 3-connected planar graph these are exactly
+    the face boundaries (Tutte, *How to draw a graph*, 1963).
+    """
+    n = len(adj)
+    cycles = []
+
+    def walk(path):
+        start, last = path[0], path[-1]
+        for w in adj[last]:
+            if w <= start or w in path or any(w in adj[v] for v in path[1:-1]):
+                continue
+            if w in adj[start]:  # closes a chordless cycle
+                if path[1] < w:
+                    cycles.append(tuple(path) + (w,))
+            else:
+                path.append(w)
+                walk(path)
+                path.pop()
+
+    for s in range(n):
+        for v in adj[s]:
+            if v > s:
+                walk([s, v])
+    return [c for c in cycles if _connected(adj, range(n), removed=frozenset(c))]
 
 
-def _certify(degrees, adj):
-    """Certificate of the completed graph if it is a sphere type, else None."""
-    n = len(degrees)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for v in range(n):
-        for w in adj[v]:
-            if v < w:
-                graph.add_edge(v, w)
-    if not nx.is_connected(graph):
-        return None
-    planar, embedding = nx.check_planarity(graph)
-    if not planar:
-        return None
-    faces = _embedding_faces(embedding)
+def _certify(adj):
+    """Certificate of the completed graph if it is a sphere type, else None.
+
+    The peripheral cycles are offered to `_sphere_map` as faces.  A face list
+    that passes and uses every edge is a 3-connected sphere embedding of the
+    graph itself; by Tutte's theorem every polyhedral graph yields one.
+    """
+    graph = dict(enumerate(adj))
     try:
-        m = _sphere_map(AbstractPolyhedron(n, faces))
+        m = _sphere_map(AbstractPolyhedron(len(adj), _peripheral_cycles(graph)))
     except PolyhedronError:
         return None
+    if 2 * m.profile.e != sum(len(nbrs) for nbrs in adj):
+        return None  # some edge lies on no face
     return _canonical_form(m)
 
 
 def _extend(degrees, adj, i, reverse, out):
     n = len(degrees)
     if i == n:
-        cert = _certify(degrees, adj)
+        cert = _certify(adj)
         if cert is not None:
             out.add(cert)
         return

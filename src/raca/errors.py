@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: DomainError and malformed input exit 3,
 mathematical failures exit 2, ResourceLimitError exits 4.
 """
 
+import json
+import math
+
 
 class RacaError(Exception):
     pass
@@ -34,3 +37,35 @@ DISCONNECTED = "disconnected"
 NOT_3_CONNECTED = "not_3_connected"
 BAD_DEGREE = "bad_degree"
 EULER = "euler"
+
+
+def _reject_constant(name):
+    raise DomainError(f"JSON input: {name} is not a number")
+
+
+def _finite_float(text):
+    value = float(text)
+    if math.isinf(value):
+        raise DomainError(f"JSON input: {text} is out of float range")
+    return value
+
+
+def _read_json(source):
+    """Input data from a dict, a JSON object string, or a JSON file path.
+
+    NaN, Infinity, numbers that overflow a float, integers too long to
+    convert and nesting too deep to parse are input errors.
+    """
+    if isinstance(source, dict):
+        return source
+    text = str(source)
+    hooks = {"parse_constant": _reject_constant, "parse_float": _finite_float}
+    try:
+        if text.lstrip().startswith("{"):
+            return json.loads(text, **hooks)
+        with open(text) as fh:
+            return json.load(fh, **hooks)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise DomainError(f"JSON input: {exc}") from exc

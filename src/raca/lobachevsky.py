@@ -31,6 +31,29 @@ _COEF = tuple(float(zeta(2 * n)) / (n * (2 * n + 1)) for n in range(1, _NCOEF + 
 _ROUNDING = 2e-14
 
 
+def _scaled_pi(bits: int) -> int:
+    """floor(pi * 2**bits), from Machin's formula in integer arithmetic."""
+    guard = 64
+    one = 1 << (bits + guard)
+
+    def arctan_inv(x):  # arctan(1/x) * 2**(bits + guard), truncated termwise
+        total = term = one // x
+        k = 1
+        while term:
+            term //= -x * x
+            total += term // (2 * k + 1)
+            k += 1
+        return total
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> guard
+
+
+# _reduce removes k*pi with |k| <= |theta|/pi < 2**1023 using pi rounded down
+# to this many bits, so the reduced angle is off by less than 2**-177.
+_PI_BITS = 1200
+_PI_SCALED = _scaled_pi(_PI_BITS)
+
+
 @dataclass(frozen=True)
 class EvaluationResult:
     value: float
@@ -40,11 +63,20 @@ class EvaluationResult:
 def _reduce(theta: float) -> tuple[float, float]:
     """Fold theta into [0, pi/2] using oddness and pi-periodicity.
 
-    Returns (sign, reduced) with L(theta) = sign * L(reduced).
+    Returns (sign, reduced) with L(theta) = sign * L(reduced).  Beyond pi/2
+    the nearest multiple of pi is removed in exact integer arithmetic, so
+    the reduced angle is correct to float rounding however large theta is.
     """
     if not math.isfinite(theta):
         raise DomainError("lobachevsky: argument must be finite")
-    r = math.remainder(theta, math.pi)  # in [-pi/2, pi/2], correctly rounded
+    if abs(theta) <= math.pi / 2:
+        r = float(theta)
+    else:
+        p, q = theta.as_integer_ratio()
+        scaled = p << _PI_BITS        # theta * q * 2**_PI_BITS, exactly
+        period = q * _PI_SCALED       # pi * q * 2**_PI_BITS, rounded down
+        k = (2 * scaled + period) // (2 * period)  # nearest integer to theta/pi
+        r = (scaled - k * period) / (q << _PI_BITS)
     if r < 0.0:
         return -1.0, -r
     return 1.0, r

@@ -9,7 +9,6 @@ hyperbolic polyhedra, and produces canonical isomorphism certificates.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -25,6 +24,7 @@ from .errors import (
     NOT_3_CONNECTED,
     DomainError,
     PolyhedronError,
+    _read_json,
 )
 
 
@@ -87,15 +87,7 @@ def load_polyhedron(source) -> AbstractPolyhedron:
     """Build an AbstractPolyhedron from a dict, JSON string, or file path."""
     if isinstance(source, AbstractPolyhedron):
         return source
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text) as fh:
-                data = json.load(fh)
+    data = _read_json(source)
     try:
         return AbstractPolyhedron(int(data["vertex_count"]), data["faces"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

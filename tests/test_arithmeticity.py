@@ -164,11 +164,16 @@ def test_load_coxeter_sources(tmp_path):
 
     with_inf = load_coxeter({"size": 2, "m": [[1, "inf"], ["INF", 1]]})
     assert with_inf.m[0][1] == INF
+    assert load_coxeter({"size": 2, "m": [[1, math.inf], [math.inf, 1]]}) == with_inf
 
     with pytest.raises(DomainError):
         load_coxeter({"size": 2, "m": [[1, "seven"], ["seven", 1]]})
     with pytest.raises(DomainError):
         load_coxeter({"m": [[1, 3], [3, 1]]})
+    with pytest.raises(DomainError):
+        load_coxeter({"size": math.inf, "m": [[1]]})
+    with pytest.raises(DomainError):  # JSON text cannot spell the label inf as a number
+        load_coxeter('{"size": 2, "m": [[1, 1e400], [1e400, 1]]}')
 
 
 def test_is_arithmetic_on_reference_diagrams():

@@ -4,17 +4,20 @@ import math
 
 import pytest
 
-from raca import catalog
+from raca import catalog, census
 from raca.census import (
     CandidatePair,
     candidate_pairs,
     enumerate_types,
     verify_minimality,
 )
-from raca.errors import DomainError
+from raca.errors import DomainError, PolyhedronError
 from raca.lobachevsky import catalan_constant
 from raca.polyhedra import (
     READING_DISTINCT,
+    AbstractPolyhedron,
+    _canonical_form,
+    _sphere_map,
     canonical_form,
     face_statistics,
     lemma_rem_check,
@@ -179,3 +182,82 @@ def test_report_serialization():
     data = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     assert data["verified"] is True
     assert math.isclose(data["minimal_volume"], G, abs_tol=1e-9)
+
+
+def _networkx_certify(adj):
+    """The former leaf check: connectivity, planarity and faces from networkx."""
+    nx = pytest.importorskip("networkx")
+    n = len(adj)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from((v, w) for v in range(n) for w in adj[v] if v < w)
+    if not nx.is_connected(graph):
+        return None
+    planar, embedding = nx.check_planarity(graph)
+    if not planar:
+        return None
+    seen = set()
+    faces = []
+    for dart in embedding.edges():
+        if dart not in seen:
+            faces.append(tuple(embedding.traverse_face(*dart, mark_half_edges=seen)))
+    try:
+        m = _sphere_map(AbstractPolyhedron(n, faces))
+    except PolyhedronError:
+        return None
+    return _canonical_form(m)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_certify_matches_networkx_on_every_leaf(monkeypatch, reverse):
+    certify = census._certify
+    outcomes = []
+
+    def both(adj):
+        got = certify(adj)
+        outcomes.append(got is not None)
+        assert got == _networkx_certify(adj), [sorted(a) for a in adj]
+        return got
+
+    monkeypatch.setattr(census, "_certify", both)
+    for pair in candidate_pairs():
+        degrees = (4,) * pair.v_inf + (3,) * pair.v_f
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, set())
+    # the leaf and certificate counts of the funnel, summed over the pairs
+    assert (len(outcomes), sum(outcomes)) == (1433, 354)
+
+
+def test_certify_rejects_graphs_that_are_not_polyhedral():
+    def adjacency(n, edges):
+        adj = [set() for _ in range(n)]
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    two_k4 = [(a + s, b + s) for s in (0, 4) for a in range(4) for b in range(a + 1, 4)]
+    # two copies of K4 minus an edge, joined by two edges: planar, 2-connected
+    dumbbell = [e for e in two_k4 if e not in ((0, 1), (4, 5))] + [(0, 4), (1, 5)]
+    for n, edges in [(6, k33), (8, two_k4), (8, dumbbell)]:
+        adj = adjacency(n, edges)
+        assert census._certify(adj) is None
+        assert _networkx_certify(adj) is None
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    adj = adjacency(6, prism)
+    assert census._certify(adj) == canonical_form(catalog.triangular_prism())
+
+
+def test_certify_rejects_faces_that_miss_an_edge(monkeypatch):
+    # the cube's faces form a valid sphere map but miss a long diagonal
+    cube = catalog.cube()
+    adj = [set() for _ in range(cube.vertex_count)]
+    for face in cube.faces:
+        for a, b in zip(face, face[1:] + face[:1]):
+            adj[a].add(b)
+            adj[b].add(a)
+    assert census._certify(adj) == canonical_form(cube)
+    adj[0].add(6)  # vertex 6 is opposite vertex 0
+    adj[6].add(0)
+    monkeypatch.setattr(census, "_peripheral_cycles", lambda graph: list(cube.faces))
+    assert census._certify(adj) is None

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from raca import catalog
 from raca.cli import main, parse_angle
@@ -66,6 +68,14 @@ def test_lob_json(capsys):
     assert 0 < data["error_bound"] < 1e-12
     # canonical serialization: load/dump round-trip is the identity
     assert json.dumps(data, sort_keys=True) == out.strip()
+
+
+def test_lob_large_argument(capsys):
+    # mpmath: clsin(2, 2e16)/2 with 2e16 reduced mod 2*pi at 1400 bits
+    rc, out = run(capsys, "lob", "1e16", "--json")
+    assert rc == 0
+    data = json.loads(out)
+    assert abs(data["value"] - -0.41477835200533613022) <= data["error_bound"] < 1e-12
 
 
 def test_lob_precision_flag(capsys):
@@ -218,6 +228,57 @@ def test_arith(capsys, files):
     assert main(["arith", "check", files["infsize"]]) == 3
     assert main(["arith", "check", files["binary"]]) == 3
     capsys.readouterr()
+
+
+E400 = b'{"size": 2, "m": [[1, 1e400], [1e400, 1]]}'
+INFINITY = b'{"size": 2, "m": [[1, Infinity], [Infinity, 1]]}'
+DEEP = b"[" * 200_000
+LONG_INT = b'{"vertex_count": ' + b"1" * 5000 + b', "faces": []}'
+
+
+@pytest.mark.parametrize("payload", [E400, INFINITY, DEEP, LONG_INT,
+                                     b'{"vertex_count": NaN, "faces": []}'],
+                         ids=["1e400", "Infinity", "deep", "long_int", "NaN"])
+@pytest.mark.parametrize("command", [["check", "stats"], ["arith", "check"]],
+                         ids=["check", "arith"])
+def test_unreadable_json_is_an_input_error(capsys, tmp_path, payload, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    assert main([*command, str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+_LABELS = st.sampled_from([1, 2, 3, 4, 5, 6, "inf", "INF", "seven", 0, -3, 2.0, True, None])
+_DIAGRAMS = st.integers(0, 6).flatmap(lambda n: st.fixed_dictionaries({
+    "size": st.sampled_from([n, n + 1, "x"]),
+    "m": st.lists(st.lists(_LABELS, min_size=n, max_size=n), min_size=n, max_size=n),
+}))
+_FACE_LISTS = st.fixed_dictionaries({
+    "vertex_count": st.integers(-2, 12),
+    "faces": st.lists(st.lists(st.integers(-1, 12), max_size=6), max_size=10),
+})
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["size", "m", "vertex_count", "faces", "x"]),
+                      inner, max_size=4),
+    max_leaves=16)
+_PAYLOADS = st.binary(max_size=64) | st.one_of(
+    _DIAGRAMS, _FACE_LISTS, _ANY_JSON).map(lambda v: json.dumps(v).encode())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_PAYLOADS, st.sampled_from([["check", "stats"], ["check", "andreev"],
+                                   ["arith", "check"]]))
+@example(E400, ["arith", "check"])
+@example(INFINITY, ["arith", "check"])
+@example(DEEP, ["check", "stats"])
+@example(DEEP, ["arith", "check"])
+def test_cli_fuzz_exit_codes(tmp_path, payload, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    assert main([*command, str(path)]) in (0, 2, 3, 4)
 
 
 def test_usage_errors_map_to_input_code(capsys):

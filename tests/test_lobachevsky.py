@@ -3,8 +3,13 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from raca.lobachevsky import (
+    _PI_BITS,
+    _PI_SCALED,
+    _reduce,
     catalan_constant,
     lobachevsky,
     lobachevsky_quadrature,
@@ -110,3 +115,37 @@ def test_argument_reduction_far_from_origin():
         shifted = theta + k * math.pi
         assert lobachevsky(shifted).value == pytest.approx(
             lobachevsky(theta).value, abs=1e-11)
+
+
+def _mpmath_lobachevsky(theta):
+    """L(theta) = Cl_2(2 theta)/2, reduced mod pi at 1400 bits by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(1400):
+        x = mpmath.mpf(theta)
+        r = x - mpmath.nint(x / mpmath.pi) * mpmath.pi
+    with mpmath.workdps(30):
+        return float(mpmath.clsin(2, 2 * r) / 2)
+
+
+def test_scaled_pi_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(_PI_BITS + 64):
+        assert _PI_SCALED == int(mpmath.floor(mpmath.pi * mpmath.mpf(2) ** _PI_BITS))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.floats(-300.0, 300.0), st.booleans())
+@example(16.0, False)
+@example(300.0, True)
+@example(math.log10(math.pi / 2), False)
+def test_bound_holds_log_uniform(exponent, negative):
+    theta = (-1.0 if negative else 1.0) * 10.0 ** exponent
+    ref = _mpmath_lobachevsky(theta)
+    for route in (lobachevsky_series, lobachevsky_quadrature):
+        result = route(theta)
+        assert abs(result.value - ref) <= result.abs_error_bound, (route.__name__, theta)
+
+
+def test_small_arguments_are_not_reduced():
+    for theta in (1e-300, 0.3, math.pi / 4, math.pi / 2, -math.pi / 2, -1.2):
+        assert _reduce(theta) == (math.copysign(1.0, theta), abs(theta))

@@ -1,6 +1,7 @@
 """Combinatorial polyhedra: validation, circuits, realizability, certificates."""
 
 import json
+import math
 import random
 from itertools import combinations, permutations
 
@@ -149,6 +150,8 @@ def test_load_polyhedron_sources(tmp_path):
         load_polyhedron({"faces": [[0, 1, 2]]})
     with pytest.raises(DomainError):
         load_polyhedron({"vertex_count": "abc", "faces": [[0, 1, 2]]})
+    with pytest.raises(DomainError):
+        load_polyhedron({"vertex_count": math.inf, "faces": [[0, 1, 2]]})
 
 
 def test_prismatic_circuits():
