@@ -12,12 +12,18 @@ here.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError, _read_json
+from .errors import DomainError, ResourceLimitError, _read_json
 from .surd import SurdInteger
 
 INF = math.inf
+
+# neighbours the cycle enumeration may examine before it stops, under a second
+# of work on a 2-vCPU host; max_len=3 on 9 nodes needs under 5,000 and a
+# complete 9-node diagram with max_len=8 about 680,000
+_WALK_LIMIT = 2_000_000
 
 # label m -> doubled Gram entry -2*cos(pi/m)
 _ENTRY = {
@@ -164,6 +170,8 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int):
     the smallest vertex leads, and for length >= 3 the second vertex is
     smaller than the last.  The reverse orientation has the same product
     because the matrix is symmetric.  Order of emission is deterministic.
+    The walk raises ResourceLimitError once it has examined more than
+    _WALK_LIMIT neighbours.
     """
     n = gram.size
     entries = gram.entries
@@ -177,8 +185,16 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int):
     if max_len < 3:
         return
 
+    steps = 0
+
     def walk(start, path, product, used):
+        nonlocal steps
         last = path[-1]
+        steps += len(nonzero[last])
+        if steps > _WALK_LIMIT:
+            raise ResourceLimitError(
+                f"cycle enumeration stopped after {_WALK_LIMIT} steps; "
+                f"lower max_len (now {max_len})")
         for nxt in nonzero[last]:
             if nxt == start and len(path) >= 3:
                 if path[1] < path[-1]:
@@ -194,8 +210,114 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int):
         yield from walk(start, [start], SurdInteger(1), {start})
 
 
+def _square_class(x: SurdInteger):
+    """Class of a monomial k*sqrt(d) in Q*/Q*^2, as an element of F_2^2.
+
+    The coordinate index over (1, sqrt2, sqrt3, sqrt6) is the class, with
+    bit 0 for sqrt 2 and bit 1 for sqrt 3, so classes multiply by XOR.
+    None for 0 and for sums of more than one monomial.
+    """
+    nonzero = [k for k, coef in enumerate((x.a, x.b, x.c, x.d)) if coef]
+    return nonzero[0] if len(nonzero) == 1 else None
+
+
+def _square_classes(gram: ExactGramMatrix):
+    """Rows of classes of the off-diagonal entries (None where 0), or None
+    if some nonzero entry is not a monomial."""
+    rows = [[None] * gram.size for _ in range(gram.size)]
+    for i, row in enumerate(gram.entries):
+        for j in range(i + 1, gram.size):
+            if row[j]:
+                c = _square_class(row[j])
+                if c is None:
+                    return None
+                rows[i][j] = rows[j][i] = c
+    return rows
+
+
+def _potential_check(gram: ExactGramMatrix, classes, max_len: int) -> ArithmeticityResult:
+    """Vinberg's criterion through a square-class potential.
+
+    A product of monomials is a rational integer exactly when their classes
+    XOR to 0.  Give each vertex of a BFS spanning forest the XOR of the
+    classes on its tree path from the root; every cycle is then rational
+    exactly when each non-tree edge's class is the XOR of its endpoints'
+    potentials, since the fundamental cycles span the cycle space.  The
+    witness is the fundamental cycle of the first failing edge (i, j) in
+    the order of i, then j.  Counted as checked: the E 2-cycles and the
+    E - n + c fundamental cycles (c components).
+    """
+    n = gram.size
+    potential = [None] * n
+    parent = [None] * n
+    components = 0
+    for root in range(n):
+        if potential[root] is not None:
+            continue
+        components += 1
+        potential[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w, c in enumerate(classes[v]):
+                if c is not None and potential[w] is None:
+                    potential[w] = potential[v] ^ c
+                    parent[w] = v
+                    queue.append(w)
+
+    edges = 0
+    failing = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = classes[i][j]
+            if c is not None:
+                edges += 1
+                if failing is None and potential[i] ^ potential[j] != c:
+                    failing = (i, j)
+
+    witness_cycle = witness_product = None
+    if failing is not None:
+        witness_cycle = _canonical_rotation(_tree_cycle(parent, *failing))
+        witness_product = SurdInteger(1)
+        for a, b in zip(witness_cycle, witness_cycle[1:] + witness_cycle[:1]):
+            witness_product = witness_product * gram.entries[a][b]
+    return ArithmeticityResult(
+        arithmetic=failing is None,
+        witness_cycle=witness_cycle,
+        witness_product=witness_product,
+        cycles_checked=2 * edges - n + components,
+        max_len=max_len,
+    )
+
+
+def _tree_cycle(parent, i: int, j: int) -> list:
+    """The cycle closed by the non-tree edge (i, j): i up to the lowest
+    common ancestor, then down to j."""
+    up_i = [i]
+    while parent[up_i[-1]] is not None:
+        up_i.append(parent[up_i[-1]])
+    up_j = [j]
+    while up_j[-1] not in up_i:
+        up_j.append(parent[up_j[-1]])
+    return up_i[:up_i.index(up_j[-1]) + 1] + up_j[-2::-1]
+
+
+def _canonical_rotation(cycle: list) -> tuple:
+    """Smallest vertex first, then the orientation whose second vertex is
+    smaller than its last, as `_simple_cycles` emits cycles."""
+    k = cycle.index(min(cycle))
+    cycle = cycle[k:] + cycle[:k]
+    if cycle[1] > cycle[-1]:
+        cycle = cycle[:1] + cycle[:0:-1]
+    return tuple(cycle)
+
+
 def cyclic_products(gram, max_len: int) -> set:
-    """Products over all simple cycles of length 2..max_len, as a set."""
+    """Products over all simple cycles of length 2..max_len, as a set.
+
+    Enumerates the cycles, so a large diagram with a large max_len raises
+    ResourceLimitError.
+    """
     gram = _as_gram(gram)
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 2:
         raise DomainError("max_len must be an integer >= 2")
@@ -209,12 +331,27 @@ def is_arithmetic_noncocompact(gram, max_len=None) -> ArithmeticityResult:
     the 2-cycles generate every cyclic product multiplicatively, so
     checking them decides the criterion.  The non-cocompactness of the
     group is assumed, not checked.
+
+    With max_len at least the size and every nonzero entry a monomial
+    k*sqrt(d) (always so for `gram_from_coxeter`), the check runs in
+    O(n^2) on square classes: `cycles_checked` counts the E 2-cycles plus
+    the E - n + c fundamental cycles of a BFS spanning forest (c
+    components), and the witness is the first fundamental cycle with an
+    irrational product.  Otherwise (max_len below the size, or an entry
+    such as 1 + sqrt2) the simple cycles of length 2..max_len are
+    enumerated: `cycles_checked` counts them, the witness is the first
+    irrational one in enumeration order, and a walk longer than
+    _WALK_LIMIT steps raises ResourceLimitError.
     """
     gram = _as_gram(gram)
     if max_len is None:
         max_len = max(gram.size, 2)
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 2:
         raise DomainError("max_len must be an integer >= 2")
+    if max_len >= gram.size:
+        classes = _square_classes(gram)
+        if classes is not None:
+            return _potential_check(gram, classes, max_len)
 
     checked = 0
     witness_cycle = None

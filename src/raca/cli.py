@@ -47,10 +47,14 @@ def parse_angle(text) -> float:
     s = str(text).strip()
     m = _ANGLE.match(s)
     if m:
-        k = int(m.group(2))
-        if k == 0:
-            raise DomainError("angle pi/0 is not a number")
-        value = math.pi / k
+        try:
+            k = int(m.group(2))
+            value = math.pi / k
+        except ZeroDivisionError:
+            raise DomainError("angle pi/0 is not a number") from None
+        except (ValueError, OverflowError):  # too many digits for int() or a float
+            raise DomainError(
+                f"angle denominator of {len(m.group(2))} digits is out of range") from None
         return -value if m.group(1) else value
     if s in ("pi", "-pi"):
         return -math.pi if s.startswith("-") else math.pi

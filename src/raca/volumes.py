@@ -16,6 +16,7 @@ from .lobachevsky import catalan_constant, lobachevsky, v_oct, v_tet
 
 _EPS = 1e-12
 _N_CAP = 10**6  # conditioning cap for family formulas
+_COUNT_CAP = 2**53  # vertex counts in bounds stay exact, and finite, as floats
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,12 @@ def named_volume(name: str) -> VolumeReport:
     m = _PARAM_NAME.match(name)
     if m:
         fn = lobell_volume if m.group(1) == "Lobell" else antiprism_volume
-        return fn(int(m.group(2)))
+        try:
+            n = int(m.group(2))
+        except ValueError:  # more digits than int() accepts from a string
+            raise DomainError(
+                f"named_volume: n exceeds supported range ({_N_CAP})") from None
+        return fn(n)
     raise DomainError(f"named_volume: unknown name {name!r}")
 
 
@@ -184,6 +190,8 @@ def atkinson_bounds_compact(V) -> BoundPair:
         raise DomainError("atkinson_bounds_compact: requires V >= 20")
     if V % 2 != 0:
         raise DomainError("atkinson_bounds_compact: V must be even")
+    if V > _COUNT_CAP:
+        raise DomainError("atkinson_bounds_compact: V exceeds supported range (2**53)")
     lower = v_oct().value / 32.0 * (V - 8)
     upper = 5.0 * v_tet().value / 8.0 * (V - 10)
     return BoundPair(lower, upper, lower_attained=False)
@@ -199,6 +207,8 @@ def atkinson_bounds_ideal(V) -> BoundPair:
         raise DomainError("atkinson_bounds_ideal: V must be an integer")
     if V < 6:
         raise DomainError("atkinson_bounds_ideal: requires V >= 6")
+    if V > _COUNT_CAP:
+        raise DomainError("atkinson_bounds_ideal: V exceeds supported range (2**53)")
     vo = v_oct().value
     return BoundPair(vo / 4.0 * (V - 2), vo / 2.0 * (V - 4), lower_attained=(V == 6))
 
@@ -211,6 +221,8 @@ def _check_mixed_args(v_inf, v_f) -> None:
         raise DomainError("mixed bounds: requires V_inf >= 1")
     if v_f < 0 or v_f % 2 != 0:
         raise DomainError("mixed bounds: requires V_f >= 0 and even")
+    if max(v_inf, v_f) > _COUNT_CAP:
+        raise DomainError("mixed bounds: vertex counts exceed supported range (2**53)")
 
 
 def mixed_lower_bound(v_inf, v_f) -> float:

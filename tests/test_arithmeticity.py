@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from raca.arithmeticity import (
     is_arithmetic_noncocompact,
     load_coxeter,
 )
-from raca.errors import DomainError
+from raca.errors import DomainError, ResourceLimitError
 from raca.surd import ONE, SQRT2, SQRT3, SQRT6, ZERO, SurdInteger
 
 D344 = {"size": 4, "m": [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 4], [2, 2, 4, 1]]}
@@ -209,3 +210,172 @@ def test_entry_closure_under_products():
             p = x * y
             assert isinstance(p, SurdInteger)
             assert math.isclose(p.value(), x.value() * y.value(), abs_tol=1e-12)
+
+
+# -- square-class check against the full cycle enumeration ---------------------
+
+def _reference_cycles(gram):
+    """Every simple cycle of the Gram graph with its product, each once:
+    the 2-cycles, then longer cycles from their smallest vertex with the
+    second vertex smaller than the last.  No work limit."""
+    n, e = gram.size, gram.entries
+    nbrs = [[j for j in range(n) if j != i and e[i][j]] for i in range(n)]
+    for i in range(n):
+        for j in nbrs[i]:
+            if j > i:
+                yield (i, j), e[i][j] * e[j][i]
+
+    def walk(path, product):
+        start, last = path[0], path[-1]
+        for nxt in nbrs[last]:
+            if nxt == start and len(path) >= 3 and path[1] < path[-1]:
+                yield tuple(path), product * e[last][start]
+            elif nxt > start and nxt not in path:
+                yield from walk(path + [nxt], product * e[last][nxt])
+
+    for start in range(n):
+        yield from walk([start], ONE)
+
+
+def _components(gram):
+    parent = list(range(gram.size))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i in range(gram.size):
+        for j in range(i + 1, gram.size):
+            if gram.entries[i][j]:
+                parent[find(i)] = find(j)
+    return sum(1 for v in range(gram.size) if find(v) == v)
+
+
+def _random_diagram(rng):
+    """Coxeter matrix on 2..8 nodes with labels from {2, 3, 4, 6, inf}: dense,
+    sparse, a tree, or two blocks joined by label 2 only."""
+    n = rng.randint(2, 8)
+    kind = rng.choice(["dense", "sparse", "tree", "disconnected"])
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+
+    def put(i, j, label):
+        m[i][j] = m[j][i] = label
+
+    nonzero = [3, 4, 6, INF]
+    if kind == "tree":
+        for v in range(1, n):
+            put(rng.randrange(v), v, rng.choice(nonzero))
+    else:
+        share2 = {"dense": 0.2, "sparse": 0.6, "disconnected": 0.3}[kind]
+        cut = rng.randint(1, n - 1) if kind == "disconnected" else n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i < cut) == (j < cut) and rng.random() >= share2:
+                    put(i, j, rng.choice(nonzero))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return CoxeterMatrix(n, [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+def _assert_valid_witness(gram, res):
+    cycle = res.witness_cycle
+    assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+    assert cycle[0] == min(cycle) and cycle[1] < cycle[-1]
+    product = ONE
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert gram.entries[a][b], (cycle, a, b)
+        product = product * gram.entries[a][b]
+    assert product == res.witness_product
+    assert not product.is_rational_integer
+
+
+def test_square_class_check_matches_enumeration():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(400):
+        gram = gram_from_coxeter(_random_diagram(rng))
+        n = gram.size
+        res = is_arithmetic_noncocompact(gram)
+        want = all(p.is_rational_integer for _, p in _reference_cycles(gram))
+        assert res.arithmetic == want
+        assert res.max_len == max(n, 2)
+        edges = sum(1 for i in range(n) for j in range(i + 1, n) if gram.entries[i][j])
+        assert res.cycles_checked == 2 * edges - n + _components(gram)
+        if want:
+            assert res.witness_cycle is None and res.witness_product is None
+        else:
+            _assert_valid_witness(gram, res)
+        seen.add((n, want))
+
+        # the bounded check stays an enumeration: edges plus triangles at length 3
+        bounded = is_arithmetic_noncocompact(gram, 3)
+        short = [(c, p) for c, p in _reference_cycles(gram) if len(c) <= 3]
+        assert bounded.cycles_checked == len(short)
+        assert bounded.arithmetic == all(p.is_rational_integer for _, p in short)
+    assert {n for n, _ in seen} == set(range(2, 9))
+    assert {want for _, want in seen} == {True, False}
+
+
+def _complete(n, label=3):
+    return CoxeterMatrix(n, [[1 if i == j else label for j in range(n)] for i in range(n)])
+
+
+def test_square_class_check_is_fast_on_complete_diagrams():
+    for n in (30, 40):
+        gram = gram_from_coxeter(_complete(n))
+        start = time.perf_counter()
+        res = is_arithmetic_noncocompact(gram)
+        assert time.perf_counter() - start < 1.0
+        assert res.arithmetic
+        assert res.cycles_checked == n * (n - 1) - n + 1
+
+    m = [list(row) for row in _complete(40).m]
+    m[17][33] = m[33][17] = 4
+    gram = gram_from_coxeter(CoxeterMatrix(40, m))
+    start = time.perf_counter()
+    res = is_arithmetic_noncocompact(gram)
+    assert time.perf_counter() - start < 1.0
+    assert res.witness_cycle == (0, 17, 33) and res.witness_product == -SQRT2
+    _assert_valid_witness(gram, res)
+
+
+def test_cycle_enumeration_has_a_work_limit():
+    gram = gram_from_coxeter(_complete(40))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        is_arithmetic_noncocompact(gram, 8)
+    with pytest.raises(ResourceLimitError):
+        cyclic_products(gram, 8)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_non_monomial_entries_take_the_enumeration():
+    two, minus_one = SurdInteger(2), SurdInteger(-1)
+    x = ONE + SQRT2
+    gram = ExactGramMatrix(4, [[two, x, ZERO, minus_one],
+                               [x, two, minus_one, ZERO],
+                               [ZERO, minus_one, two, -SQRT2],
+                               [minus_one, ZERO, -SQRT2, two]])
+    for max_len, checked in ((None, 5), (2, 4), (3, 4), (4, 5), (6, 5)):
+        res = is_arithmetic_noncocompact(gram, max_len)
+        assert not res.arithmetic
+        assert res.witness_cycle == (0, 1)
+        assert res.witness_product == SurdInteger(3, 2, 0, 0)
+        assert res.cycles_checked == checked == sum(
+            1 for c, _ in _reference_cycles(gram) if len(c) <= (max_len or 4))
+
+    tri = ExactGramMatrix(3, [[two, minus_one, -SQRT3],
+                              [minus_one, two, SQRT2 + SQRT3],
+                              [-SQRT3, SQRT2 + SQRT3, two]])
+    res = is_arithmetic_noncocompact(tri)
+    assert (res.witness_cycle, res.witness_product, res.cycles_checked) == \
+        ((1, 2), SurdInteger(5, 0, 0, 2), 4)
+    assert cyclic_products(tri, 3) == {ONE, SurdInteger(3), SurdInteger(3, 0, 0, 1),
+                                       SurdInteger(5, 0, 0, 2)}
+
+    # a large non-monomial diagram is enumerated too, and so meets the limit
+    big = [list(row) for row in gram_from_coxeter(_complete(14)).entries]
+    big[0][1] = big[1][0] = x
+    with pytest.raises(ResourceLimitError):
+        is_arithmetic_noncocompact(ExactGramMatrix(14, big))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -28,6 +29,8 @@ def files(tmp_path):
         ("infcount", {"vertex_count": math.inf, "faces": [[0, 1, 2]]}),
         ("scalar_m", {"size": 2, "m": 7}),
         ("infsize", {"size": math.inf, "m": [[1]]}),
+        ("k40", {"size": 40, "m": [[1 if i == j else 3 for j in range(40)]
+                                   for i in range(40)]}),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))  # infinity is written as Infinity
@@ -53,6 +56,9 @@ def test_parse_angle():
         parse_angle("pi/0")
     with pytest.raises(DomainError):
         parse_angle("two")
+    for digits in (400, 5000):  # too large for a float, too long for int()
+        with pytest.raises(DomainError):
+            parse_angle("pi/" + "9" * digits)
 
 
 def test_lob_defaults_to_twelve_places(capsys):
@@ -223,6 +229,14 @@ def test_arith(capsys, files):
     data = json.loads(out)
     assert data["arithmetic"] is True and data["witness_cycle"] is None
 
+    # the default check is polynomial; a long bounded enumeration stops with 4
+    rc, out = run(capsys, "arith", "check", files["k40"], "--json")
+    assert rc == 0 and json.loads(out)["cycles_checked"] == 40 * 39 - 40 + 1
+    start = time.perf_counter()
+    assert main(["arith", "check", files["k40"], "--max-len", "8"]) == 4
+    assert time.perf_counter() - start < 10.0
+    assert "error:" in capsys.readouterr().err
+
     assert main(["arith", "check", files["cube"]]) == 3
     assert main(["arith", "check", files["scalar_m"]]) == 3
     assert main(["arith", "check", files["infsize"]]) == 3
@@ -279,6 +293,44 @@ def test_cli_fuzz_exit_codes(tmp_path, payload, command):
     path = tmp_path / "input.json"
     path.write_bytes(payload)
     assert main([*command, str(path)]) in (0, 2, 3, 4)
+
+
+_TOKENS = st.one_of(
+    st.integers(-10, 30).map(str),
+    st.integers(-10**400, 10**400).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "pi", "-pi", "pi/0", "pi/4",
+                     "-pi/3", "pi/" + "9" * 400, "pi/" + "9" * 5000, "", "0x10", "frob",
+                     "P32", "P34", "DeltaPrime344", "Lobell(5)", "Lobell(4)",
+                     "Antiprism(1000001)", "Lobell(" + "9" * 5000 + ")"]))
+# census pairs: the valid ones, (2,4), (2,6), (3,2) and (3,4), are enumerated
+# in well under a second each; (2,8) is left out for its time, not its risk
+_CENSUS_COUNTS = st.one_of(st.integers(-3, 6).map(str),
+                           st.sampled_from(["99999999999999999999", "nan", "x", "-1"]))
+_FILELESS = st.one_of(
+    st.tuples(st.just("lob"), _TOKENS),
+    st.tuples(st.just("volume"), st.just("orthoscheme"), _TOKENS, _TOKENS, _TOKENS),
+    st.tuples(st.just("volume"), st.sampled_from(["lobell", "antiprism", "named"]), _TOKENS),
+    st.tuples(st.just("bounds"), st.sampled_from(["compact", "ideal"]), _TOKENS),
+    st.tuples(st.just("bounds"), st.just("mixed"), _TOKENS, _TOKENS),
+    st.tuples(st.just("census"), st.just("enumerate"), st.just("--videal"), _CENSUS_COUNTS,
+              st.just("--vfinite"), _CENSUS_COUNTS, st.just("--condition3-reading"),
+              st.sampled_from(["disjoint_endpoints", "distinct_edges", "other"])),
+)
+_FLAGS = st.lists(st.sampled_from(["--json", "--precision", "3", "-1", "13", "99999"]),
+                  max_size=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FILELESS, _FLAGS)
+@example(("bounds", "compact", "1" + "0" * 400), [])
+@example(("bounds", "mixed", "2", "1" + "0" * 400), [])
+@example(("lob", "pi/" + "9" * 400), [])
+@example(("volume", "named", "Lobell(" + "9" * 5000 + ")"), [])
+def test_cli_fuzz_fileless_exit_codes(capsys, argv, flags):
+    assert main([*argv, *flags]) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_errors_map_to_input_code(capsys):

@@ -171,7 +171,8 @@ def test_named_volumes():
 
 
 def test_named_volume_unknown():
-    for bad in ("Nope", "Lobell(4)", "Antiprism(x)", "", "P99"):
+    for bad in ("Nope", "Lobell(4)", "Antiprism(x)", "", "P99",
+                "Lobell(" + "9" * 5000 + ")", "Antiprism(" + "0" * 5000 + "5)"):
         with pytest.raises(DomainError):
             named_volume(bad)
 
@@ -193,7 +194,7 @@ def test_atkinson_compact():
 
 
 def test_atkinson_compact_domain():
-    for bad in (8, 18, 19, 21, 0, -2):
+    for bad in (8, 18, 19, 21, 0, -2, 2**53 + 2, 10**400):
         with pytest.raises(DomainError):
             atkinson_bounds_compact(bad)
     with pytest.raises(DomainError):
@@ -217,7 +218,7 @@ def test_atkinson_ideal():
 
 
 def test_atkinson_ideal_domain():
-    for bad in (5, 4, 0, -6):
+    for bad in (5, 4, 0, -6, 2**53 + 1, 10**400):
         with pytest.raises(DomainError):
             atkinson_bounds_ideal(bad)
 
@@ -238,6 +239,9 @@ def test_mixed_bounds_domain():
         mixed_bounds(2, 3)
     with pytest.raises(DomainError):
         mixed_bounds(2, -2)
+    for big in ((10**400, 2), (2, 10**400), (2**53 + 1, 2)):
+        with pytest.raises(DomainError):
+            mixed_bounds(*big)
 
 
 def test_known_volumes_sit_inside_their_bounds():
