@@ -12,6 +12,7 @@ here.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -163,7 +164,7 @@ def gram_from_coxeter(matrix) -> ExactGramMatrix:
     return ExactGramMatrix(size=n, entries=tuple(rows))
 
 
-def _simple_cycles(gram: ExactGramMatrix, max_len: int):
+def _simple_cycles(gram: ExactGramMatrix, max_len: int, classes=None):
     """Yield (cycle, product) over simple cycles of length 2..max_len.
 
     Cycles are emitted once (not once per orientation or starting point):
@@ -171,16 +172,22 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int):
     smaller than the last.  The reverse orientation has the same product
     because the matrix is symmetric.  Order of emission is deterministic.
     The walk raises ResourceLimitError once it has examined more than
-    _WALK_LIMIT neighbours.
+    _WALK_LIMIT neighbours.  Given the rows of `_square_classes`, the
+    product is the cycle's square class (XOR from 0) instead of its exact
+    value; the cycles are the same, since both walk the nonzero entries.
     """
     n = gram.size
     entries = gram.entries
     nonzero = [[j for j in range(n) if j != i and entries[i][j]] for i in range(n)]
+    if classes is None:
+        values, one, combine = entries, SurdInteger(1), operator.mul
+    else:
+        values, one, combine = classes, 0, operator.xor
 
     for i in range(n):
         for j in nonzero[i]:
             if j > i:
-                yield (i, j), entries[i][j] * entries[j][i]
+                yield (i, j), combine(values[i][j], values[j][i])
 
     if max_len < 3:
         return
@@ -198,16 +205,16 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int):
         for nxt in nonzero[last]:
             if nxt == start and len(path) >= 3:
                 if path[1] < path[-1]:
-                    yield tuple(path), product * entries[last][start]
+                    yield tuple(path), combine(product, values[last][start])
             elif nxt > start and nxt not in used and len(path) < max_len:
                 used.add(nxt)
                 path.append(nxt)
-                yield from walk(start, path, product * entries[last][nxt], used)
+                yield from walk(start, path, combine(product, values[last][nxt]), used)
                 path.pop()
                 used.discard(nxt)
 
     for start in range(n):
-        yield from walk(start, [start], SurdInteger(1), {start})
+        yield from walk(start, [start], one, {start})
 
 
 def _square_class(x: SurdInteger):
@@ -278,9 +285,7 @@ def _potential_check(gram: ExactGramMatrix, classes, max_len: int) -> Arithmetic
     witness_cycle = witness_product = None
     if failing is not None:
         witness_cycle = _canonical_rotation(_tree_cycle(parent, *failing))
-        witness_product = SurdInteger(1)
-        for a, b in zip(witness_cycle, witness_cycle[1:] + witness_cycle[:1]):
-            witness_product = witness_product * gram.entries[a][b]
+        witness_product = _cycle_product(gram, witness_cycle)
     return ArithmeticityResult(
         arithmetic=failing is None,
         witness_cycle=witness_cycle,
@@ -288,6 +293,13 @@ def _potential_check(gram: ExactGramMatrix, classes, max_len: int) -> Arithmetic
         cycles_checked=2 * edges - n + components,
         max_len=max_len,
     )
+
+
+def _cycle_product(gram: ExactGramMatrix, cycle: tuple) -> SurdInteger:
+    product = SurdInteger(1)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        product = product * gram.entries[a][b]
+    return product
 
 
 def _tree_cycle(parent, i: int, j: int) -> list:
@@ -341,26 +353,29 @@ def is_arithmetic_noncocompact(gram, max_len=None) -> ArithmeticityResult:
     such as 1 + sqrt2) the simple cycles of length 2..max_len are
     enumerated: `cycles_checked` counts them, the witness is the first
     irrational one in enumeration order, and a walk longer than
-    _WALK_LIMIT steps raises ResourceLimitError.
+    _WALK_LIMIT steps raises ResourceLimitError.  With monomial entries the
+    walk carries square classes, since a product of nonzero monomials is
+    rational exactly when its class is 0, and only the witness's product
+    is computed exactly.
     """
     gram = _as_gram(gram)
     if max_len is None:
         max_len = max(gram.size, 2)
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 2:
         raise DomainError("max_len must be an integer >= 2")
-    if max_len >= gram.size:
-        classes = _square_classes(gram)
-        if classes is not None:
-            return _potential_check(gram, classes, max_len)
+    classes = _square_classes(gram)
+    if classes is not None and max_len >= gram.size:
+        return _potential_check(gram, classes, max_len)
 
     checked = 0
     witness_cycle = None
     witness_product = None
-    for cycle, product in _simple_cycles(gram, max_len):
+    for cycle, product in _simple_cycles(gram, max_len, classes):
         checked += 1
-        if witness_cycle is None and not product.is_rational_integer:
+        if witness_cycle is None and (
+                product if classes is not None else not product.is_rational_integer):
             witness_cycle = cycle
-            witness_product = product
+            witness_product = _cycle_product(gram, cycle)
     return ArithmeticityResult(
         arithmetic=witness_cycle is None,
         witness_cycle=witness_cycle,

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale on first use, which build_parser() is;
+# importing it here keeps that cost at import time instead of inside main()
+import locale  # noqa: F401
 import math
 import re
 import sys
@@ -37,6 +40,9 @@ from .volumes import (
 )
 
 _ANGLE = re.compile(r"^(-?)pi/(\d+)$")
+# argparse takes a negative value for an option unless it is a plain decimal
+# such as -0.5; these are the other negated angles parse_angle reads
+_NEGATED = re.compile(r"-(?:pi(?:/|$)|inf|nan|[0-9.])", re.IGNORECASE)
 
 _ARITH_CAVEAT = ("note: the criterion assumes a non-cocompact reflection group; "
                  "that hypothesis is not verified here")
@@ -304,6 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a leading space keeps argparse from reading "-pi/4" or "-1e3" as an
+    # option; parse_angle and int() strip it again
+    argv = [" " + arg if _NEGATED.match(arg) else arg for arg in argv]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

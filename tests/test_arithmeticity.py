@@ -313,6 +313,8 @@ def test_square_class_check_matches_enumeration():
         short = [(c, p) for c, p in _reference_cycles(gram) if len(c) <= 3]
         assert bounded.cycles_checked == len(short)
         assert bounded.arithmetic == all(p.is_rational_integer for _, p in short)
+        first = next(((c, p) for c, p in short if not p.is_rational_integer), (None, None))
+        assert (bounded.witness_cycle, bounded.witness_product) == first
     assert {n for n, _ in seen} == set(range(2, 9))
     assert {want for _, want in seen} == {True, False}
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -93,6 +96,14 @@ def test_lob_precision_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--precision", "3"]],
+                         ids=["plain", "json", "precision"])
+@pytest.mark.parametrize("angle", ["-pi/4", "-pi", "-1e3", "-0.5"])
+def test_lob_negated_angle_needs_no_separator(capsys, angle, flags):
+    assert run(capsys, "lob", angle, *flags) == run(capsys, "lob", *flags, "--", angle)
+    assert run(capsys, "lob", *flags, angle)[0] == 0
+
+
 def test_lob_bad_angle(capsys):
     assert main(["lob", "pi/0"]) == 3
     assert main(["lob", "about-tau"]) == 3
@@ -121,6 +132,9 @@ def test_volume_families_and_orthoscheme(capsys):
     assert main(["volume", "lobell", "4"]) == 3
     assert main(["volume", "orthoscheme", "pi/2", "pi/3", "pi/2"]) == 3
     capsys.readouterr()
+    # a negated angle reaches the domain check instead of argparse
+    assert main(["volume", "orthoscheme", "pi/3", "pi/4", "-pi/4"]) == 3
+    assert "orthoscheme: gamma must lie in (0, pi/2]" in capsys.readouterr().err
 
 
 def test_plain_and_json_agree(capsys):
@@ -327,6 +341,8 @@ _FLAGS = st.lists(st.sampled_from(["--json", "--precision", "3", "-1", "13", "99
 @example(("bounds", "compact", "1" + "0" * 400), [])
 @example(("bounds", "mixed", "2", "1" + "0" * 400), [])
 @example(("lob", "pi/" + "9" * 400), [])
+@example(("lob", "-pi/" + "9" * 400), [])
+@example(("volume", "orthoscheme", "-pi", "-1e3", "-inf"), ["--json"])
 @example(("volume", "named", "Lobell(" + "9" * 5000 + ")"), [])
 def test_cli_fuzz_fileless_exit_codes(capsys, argv, flags):
     assert main([*argv, *flags]) in (0, 2, 3, 4)
@@ -339,3 +355,24 @@ def test_usage_errors_map_to_input_code(capsys):
     assert main(["volume"]) == 3
     assert main(["lob"]) == 3
     capsys.readouterr()
+
+
+def test_runs_without_scipy_numpy_or_networkx():
+    # scipy is blocked, so even a lazy import inside a function fails loudly
+    script = """
+import sys
+sys.modules["scipy"] = None
+from raca.cli import main
+from raca.lobachevsky import lobachevsky_quadrature
+lobachevsky_quadrature(0.7)
+assert main(["lob", "pi/4"]) == 0
+loaded = sorted(name for name, mod in sys.modules.items() if mod is not None
+                and name.split(".")[0] in ("scipy", "numpy", "networkx"))
+assert not loaded, loaded
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.457982797089\n"

@@ -1,15 +1,20 @@
 """Lobachevsky function: reference values, functional equations, error bounds."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raca.lobachevsky import (
+    _COEF,
+    _GAUSS,
     _PI_BITS,
     _PI_SCALED,
+    _ROUNDING,
     _reduce,
+    _rounding_budget,
     catalan_constant,
     lobachevsky,
     lobachevsky_quadrature,
@@ -149,3 +154,68 @@ def test_bound_holds_log_uniform(exponent, negative):
 def test_small_arguments_are_not_reduced():
     for theta in (1e-300, 0.3, math.pi / 4, math.pi / 2, -math.pi / 2, -1.2):
         assert _reduce(theta) == (math.copysign(1.0, theta), abs(theta))
+
+
+def test_rounding_budget_within_allowance():
+    assert 0.0 < _rounding_budget() <= _ROUNDING
+
+
+def _bernoulli(count):
+    """B_0 .. B_count as exact fractions, from sum_k C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, count + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def _coefficients_off_by_more_than_an_ulp(coefs):
+    """Indices n - 1 whose literal is neither the correctly rounded value of
+    zeta(2n)/(n(2n+1)) nor a float next to it, with zeta(2n) =
+    |B_2n| (2 pi)^2n / (2 (2n)!) from exact Bernoulli numbers."""
+    mpmath = pytest.importorskip("mpmath")
+    b = _bernoulli(2 * len(coefs))
+    bad = []
+    with mpmath.workdps(60):
+        for n, c in enumerate(coefs, 1):
+            exact = abs(b[2 * n]) / (2 * math.factorial(2 * n) * n * (2 * n + 1))
+            ref = (mpmath.mpf(exact.numerator) / exact.denominator
+                   * (2 * mpmath.pi) ** (2 * n))
+            nearest = float(ref)
+            if c not in (math.nextafter(nearest, 0.0), nearest, math.nextafter(nearest, 1.0)):
+                bad.append(n - 1)
+    return bad
+
+
+def test_coefficient_literals_match_exact_zeta():
+    assert len(_COEF) == 40
+    assert _coefficients_off_by_more_than_an_ulp(_COEF) == []
+    # the check sees a literal moved by a few ulps either way
+    for k, scale in ((0, 1.0 + 1e-15), (1, 1.0 + 1e-15), (1, 1.0 - 1e-15), (39, 1.0 - 1e-15)):
+        mutated = list(_COEF)
+        mutated[k] *= scale
+        assert _coefficients_off_by_more_than_an_ulp(mutated) == [k]
+
+
+def test_gauss_rule_is_correctly_rounded():
+    # the rounding budget assumes each node and weight is the correctly
+    # rounded root of P_16 and its weight 2 (1 - x^2) / (16 P_15(x))^2
+    mpmath = pytest.importorskip("mpmath")
+    n = 2 * len(_GAUSS)
+
+    def legendre(x):  # (P_n(x), P_{n-1}(x)) by the three-term recurrence
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, p0
+
+    with mpmath.workdps(60):
+        for x, w in _GAUSS:
+            r = mpmath.mpf(x)
+            for _ in range(8):  # Newton from the float node
+                p, q = legendre(r)
+                r -= p * (1 - r * r) / (n * (q - r * p))
+            p, q = legendre(r)
+            assert abs(p) < mpmath.mpf(10) ** -50
+            assert x == float(r)
+            assert w == float(2 * (1 - r * r) / (n * q) ** 2)
+        assert mpmath.fsum(2 * w for _, w in _GAUSS) == pytest.approx(2.0, abs=1e-15)
