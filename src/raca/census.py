@@ -141,54 +141,28 @@ def candidate_pairs() -> list:
 # final certificate dedup makes the output independent of this pruning.
 
 def _candidate_groups(i, degrees, adj):
-    n = len(degrees)
     groups = {}
-    order = []
-    for j in range(i + 1, n):
+    for j in range(i + 1, len(degrees)):
         if len(adj[j]) < degrees[j]:
-            key = (degrees[j], tuple(sorted(adj[j])))
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(j)
-    return [groups[k] for k in order]
+            groups.setdefault((degrees[j], tuple(sorted(adj[j]))), []).append(j)
+    return list(groups.values())
 
 
-def _count_vectors(sizes, need):
-    vectors = []
-    tail = [0] * (len(sizes) + 1)
-    for g in range(len(sizes) - 1, -1, -1):
-        tail[g] = tail[g + 1] + sizes[g]
+def _prefix_choices(groups, need):
+    """Each way to take `need` vertices as a prefix of every group.
 
-    def rec(g, left, acc):
-        if g == len(sizes):
-            if left == 0:
-                vectors.append(tuple(acc))
-            return
-        hi = min(sizes[g], left)
-        lo = max(0, left - tail[g + 1])
-        for t in range(hi, lo - 1, -1):
-            acc.append(t)
-            rec(g + 1, left - t, acc)
-            acc.pop()
-
-    rec(0, need, [])
-    return vectors
-
-
-def _canonical_combos(groups, need, reverse):
-    sizes = [len(g) for g in groups]
-    if sum(sizes) < need:
-        return []
-    combos = []
-    for counts in _count_vectors(sizes, need):
-        combo = []
-        for group, t in zip(groups, counts):
-            combo.extend(group[:t])
-        combos.append(tuple(combo))
-    if reverse:
-        combos.reverse()
-    return combos
+    Earlier groups give as many as they can first, so the choices come in
+    decreasing lexicographic order of their per-group counts.
+    """
+    if not groups:
+        if need == 0:
+            yield ()
+        return
+    first, rest = groups[0], groups[1:]
+    room = sum(len(g) for g in rest)
+    for t in range(min(len(first), need), max(0, need - room) - 1, -1):
+        for tail in _prefix_choices(rest, need - t):
+            yield tuple(first[:t]) + tail
 
 
 def _feasible(degrees, adj, i):
@@ -259,8 +233,10 @@ def _extend(degrees, adj, i, reverse, out):
     need = degrees[i] - len(adj[i])
     if need < 0:
         return
-    groups = _candidate_groups(i, degrees, adj)
-    for combo in _canonical_combos(groups, need, reverse):
+    choices = list(_prefix_choices(_candidate_groups(i, degrees, adj), need))
+    if reverse:
+        choices.reverse()
+    for combo in choices:
         for j in combo:
             adj[i].add(j)
             adj[j].add(i)
@@ -312,13 +288,17 @@ def _type_volume(cert: str, pair: CandidatePair):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(vi, vf, reading, reverse):
+def _sphere_types(vi, vf, reverse):
+    """Every sphere type of the degree sequence, as sorted (certificate, map).
+
+    Nothing here depends on the reading of condition 3, so both readings
+    share one run of the backtracker.
+    """
     degrees = (4,) * vi + (3,) * vf
     certs = set()
     _extend(degrees, [set() for _ in degrees], 0, reverse, certs)
 
-    survivors = []
-    reps = []
+    types = []
     for cert in sorted(certs):
         m = _map_from_certificate(cert)
         profile = m.profile
@@ -329,26 +309,8 @@ def _enumerate_cached(vi, vf, reading, reverse):
             raise RacaError(f"census invariant violated: F != V_ideal + V_finite/2 + 2 for {cert}")
         if stats.w != 4 * vi + 3 * vf or stats.wi != 4 * vi:
             raise RacaError(f"census invariant violated: W identity for {cert}")
-        if not _andreev(m, reading).passed:
-            continue
-        if not _lemma_rem(m).passed:
-            raise RacaError(
-                f"census invariant violated: realizable type fails the face lemma: {cert}")
-        survivors.append(cert)
-        reps.append(m.poly)
-
-    volume = None
-    if len(survivors) == 1:
-        report, known = _type_volume(survivors[0], CandidatePair(vi, vf))
-        if known:
-            volume = report
-    return CensusRecord(
-        pair=CandidatePair(vi, vf),
-        realizable_types=tuple(survivors),
-        volume=volume,
-        polyhedra=tuple(reps),
-        condition3_reading=reading,
-    )
+        types.append((cert, m))
+    return tuple(types)
 
 
 def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
@@ -368,8 +330,28 @@ def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
         raise ResourceLimitError(
             f"enumeration limited to V_ideal + V_finite <= {_ENUMERATION_CAP}")
     _check_workers(workers)
-    return _enumerate_cached(
-        pair.v_inf, pair.v_f, condition3_reading, bool(reverse_branching))
+
+    survivors = []
+    for cert, m in _sphere_types(pair.v_inf, pair.v_f, bool(reverse_branching)):
+        if not _andreev(m, condition3_reading).passed:
+            continue
+        if not _lemma_rem(m).passed:
+            raise RacaError(
+                f"census invariant violated: realizable type fails the face lemma: {cert}")
+        survivors.append((cert, m.poly))
+
+    volume = None
+    if len(survivors) == 1:
+        report, known = _type_volume(survivors[0][0], pair)
+        if known:
+            volume = report
+    return CensusRecord(
+        pair=pair,
+        realizable_types=tuple(cert for cert, _ in survivors),
+        volume=volume,
+        polyhedra=tuple(poly for _, poly in survivors),
+        condition3_reading=condition3_reading,
+    )
 
 
 def verify_minimality(*, condition3_reading: str = READING_DISJOINT,

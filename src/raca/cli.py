@@ -74,13 +74,19 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _precision(args, default: int) -> int:
-    prec = args.precision
-    if prec is None:
-        return default
+def _precision_type(text) -> int:
+    """argparse type of --precision: checked on every command, --json included."""
+    try:
+        prec = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if prec < 0 or prec > 12:
-        raise DomainError("--precision must be between 0 and 12")
+        raise argparse.ArgumentTypeError("must be between 0 and 12")
     return prec
+
+
+def _precision(args, default: int) -> int:
+    return default if args.precision is None else args.precision
 
 
 def _cmd_lob(args) -> int:
@@ -213,7 +219,7 @@ def _cmd_arith(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--precision", type=int, default=None, metavar="D",
+    sub.add_argument("--precision", type=_precision_type, default=None, metavar="D",
                      help="decimal places for plain output (max 12)")
 
 

@@ -24,8 +24,13 @@ from .errors import (
     NOT_3_CONNECTED,
     DomainError,
     PolyhedronError,
+    ResourceLimitError,
     _read_json,
 )
+
+# the 3-connectivity test below runs one BFS per vertex pair, so its cost
+# grows as n**3; the cap keeps one validation well under a second
+_VERTEX_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,8 @@ def _sphere_map(p: AbstractPolyhedron) -> _SphereMap:
     # a vertex in no face is isolated: caught before any work of size n
     if (n > 1 and len(adj) < n) or not _connected(adj, range(n)):
         raise PolyhedronError(DISCONNECTED, "1-skeleton is not connected")
+    if n > _VERTEX_CAP:
+        raise ResourceLimitError(f"validation limited to {_VERTEX_CAP} vertices, got {n}")
 
     if n < 4:
         raise PolyhedronError(NOT_3_CONNECTED, "fewer than 4 vertices")
@@ -189,7 +196,8 @@ def validate(p: AbstractPolyhedron) -> CombinatorialProfile:
 
     Raises PolyhedronError with a stable code naming the first failed check:
     bad_index, bad_face, edge_face_count, multi_adjacent_faces, disconnected,
-    not_3_connected, bad_degree, euler.
+    not_3_connected, bad_degree, euler.  A connected 1-skeleton of more than
+    128 vertices raises ResourceLimitError instead of a structural verdict.
     """
     return _sphere_map(p).profile
 

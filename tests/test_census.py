@@ -1,6 +1,7 @@
 """Census over candidate (ideal, finite) vertex counts and the minimality theorem."""
 
 import math
+import random
 
 import pytest
 
@@ -261,3 +262,88 @@ def test_certify_rejects_faces_that_miss_an_edge(monkeypatch):
     adj[6].add(0)
     monkeypatch.setattr(census, "_peripheral_cycles", lambda graph: list(cube.faces))
     assert census._certify(adj) is None
+
+
+def _count_vectors(sizes, need):
+    """The former prefix-choice helpers, kept as the reference order."""
+    vectors = []
+    tail = [0] * (len(sizes) + 1)
+    for g in range(len(sizes) - 1, -1, -1):
+        tail[g] = tail[g + 1] + sizes[g]
+
+    def rec(g, left, acc):
+        if g == len(sizes):
+            if left == 0:
+                vectors.append(tuple(acc))
+            return
+        hi = min(sizes[g], left)
+        lo = max(0, left - tail[g + 1])
+        for t in range(hi, lo - 1, -1):
+            acc.append(t)
+            rec(g + 1, left - t, acc)
+            acc.pop()
+
+    rec(0, need, [])
+    return vectors
+
+
+def _canonical_combos(groups, need, reverse):
+    sizes = [len(g) for g in groups]
+    if sum(sizes) < need:
+        return []
+    combos = []
+    for counts in _count_vectors(sizes, need):
+        combo = []
+        for group, t in zip(groups, counts):
+            combo.extend(group[:t])
+        combos.append(tuple(combo))
+    if reverse:
+        combos.reverse()
+    return combos
+
+
+def test_prefix_choices_keep_the_reference_order():
+    rng = random.Random(20240607)
+    for _ in range(2000):
+        labels = rng.sample(range(40), 12)
+        groups = []
+        for _ in range(rng.randint(0, 5)):
+            size = rng.randint(1, 4)
+            if size > len(labels):
+                break
+            groups.append(labels[:size])
+            labels = labels[size:]
+        for need in range(6):
+            got = list(census._prefix_choices(groups, need))
+            assert got == _canonical_combos(groups, need, False), (groups, need)
+            assert got[::-1] == _canonical_combos(groups, need, True), (groups, need)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("degree,counts", [
+    (3, {4: 1, 6: 1, 8: 2, 10: 5, 12: 14}),   # cubic polyhedral graphs, OEIS A000109
+    (4, {6: 1, 7: 0, 8: 1, 9: 1, 10: 3}),     # 4-regular polyhedral graphs, OEIS A007022
+], ids=["cubic", "quartic"])
+def test_backtracker_reproduces_published_counts(degree, counts, reverse):
+    # CandidatePair rightly rejects these sequences, so the backtracker is
+    # called directly: an independent check on its symmetry pruning
+    for n, expected in counts.items():
+        degrees = (degree,) * n
+        certs = set()
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, certs)
+        assert len(certs) == expected, n
+
+
+def test_both_readings_share_one_backtrack(monkeypatch):
+    census._sphere_types.cache_clear()
+    certify = census._certify
+    leaves = []
+
+    def counted(adj):
+        leaves.append(len(adj))
+        return certify(adj)
+
+    monkeypatch.setattr(census, "_certify", counted)
+    assert verify_minimality().verified
+    assert not verify_minimality(condition3_reading=READING_DISTINCT).verified
+    assert len(leaves) == 1433  # one reading's worth, not 2866

@@ -24,6 +24,7 @@ def files(tmp_path):
     paths = {}
     for name, payload in [
         ("p32", catalog.p32().to_dict()),
+        ("lobell33", catalog.lobell(33).to_dict()),  # 132 vertices, over the cap
         ("cube", catalog.cube().to_dict()),
         ("tri463", TRI463),
         ("d444", D444),
@@ -93,6 +94,8 @@ def test_lob_precision_flag(capsys):
     assert main(["lob", "pi/4", "--precision", "13"]) == 3
     capsys.readouterr()
     assert main(["lob", "pi/4", "--precision", "-1"]) == 3
+    assert main(["lob", "pi/4", "--precision", "99"]) == 3
+    assert main(["lob", "pi/4", "--json", "--precision", "99"]) == 3
     capsys.readouterr()
 
 
@@ -118,6 +121,7 @@ def test_volume_named(capsys):
     assert data["formula"] == "2*L(pi/4)"
     assert data["value"] == pytest.approx(0.91596559417721901505, abs=1e-12)
     assert main(["volume", "named", "P33"]) == 3
+    assert main(["volume", "named", "P32", "--json", "--precision", "-3"]) == 3
     capsys.readouterr()
 
 
@@ -155,6 +159,7 @@ def test_bounds(capsys):
     assert main(["bounds", "compact", "7"]) == 3
     assert main(["bounds", "ideal", "5"]) == 3
     assert main(["bounds", "mixed", "0", "8"]) == 3
+    assert main(["bounds", "ideal", "6", "--json", "--precision", "50"]) == 3
     capsys.readouterr()
 
 
@@ -191,7 +196,11 @@ def test_check_error_paths(capsys, files, tmp_path):
     assert main(["check", "stats", files["infcount"]]) == 3
     assert main(["check", "stats", files["binary"]]) == 3
     assert main(["check", "andreev", files["binary"]]) == 3
+    assert main(["check", "stats", files["p32"], "--precision", "99"]) == 3
     capsys.readouterr()
+    assert main(["check", "stats", files["lobell33"]]) == 4
+    assert main(["check", "andreev", files["lobell33"]]) == 4
+    assert "limited to 128 vertices" in capsys.readouterr().err
 
 
 def test_census_enumerate(capsys):

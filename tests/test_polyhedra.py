@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from raca import catalog, polyhedra
-from raca.errors import DomainError, PolyhedronError
+from raca.errors import DomainError, PolyhedronError, ResourceLimitError
 from raca.polyhedra import (
     READING_DISJOINT,
     READING_DISTINCT,
@@ -107,6 +107,13 @@ def test_vertex_count_beyond_the_faces_is_disconnected():
     with pytest.raises(PolyhedronError) as exc:
         validate(AbstractPolyhedron(10**12, tet.faces))
     assert exc.value.code == "disconnected"
+
+
+def test_vertex_cap_stops_large_polyhedra():
+    # 3-connectivity costs one search per vertex pair, so size is capped
+    assert validate(catalog.lobell(32)).v_f == 128
+    with pytest.raises(ResourceLimitError):
+        validate(catalog.lobell(33))
 
 
 def test_each_public_function_builds_the_map_once(monkeypatch):
