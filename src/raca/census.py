@@ -23,7 +23,6 @@ from .polyhedra import (
     AbstractPolyhedron,
     _andreev,
     _canonical_form,
-    _connected,
     _face_statistics,
     _lemma_rem,
     _map_from_certificate,
@@ -184,42 +183,64 @@ def _peripheral_cycles(adj):
     the face boundaries (Tutte, *How to draw a graph*, 1963).
     """
     n = len(adj)
-    cycles = []
+    nbr = [sum(1 << w for w in adj[v]) for v in range(n)]
+    everyone = (1 << n) - 1
+    found = []
 
-    def walk(path):
+    # `used` holds the path, `blocked` the neighbours of its interior
+    def walk(path, used, blocked):
         start, last = path[0], path[-1]
         for w in adj[last]:
-            if w <= start or w in path or any(w in adj[v] for v in path[1:-1]):
+            bit = 1 << w
+            if w <= start or (used | blocked) & bit:
                 continue
-            if w in adj[start]:  # closes a chordless cycle
+            if nbr[start] & bit:  # closes a chordless cycle
                 if path[1] < w:
-                    cycles.append(tuple(path) + (w,))
+                    found.append((tuple(path) + (w,), used | bit))
             else:
                 path.append(w)
-                walk(path)
+                walk(path, used | bit, blocked | nbr[last])
                 path.pop()
+
+    def rest_connected(cycle):
+        alive = everyone & ~cycle
+        seen = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & alive & ~seen
+            seen |= frontier
+        return alive != 0 and seen == alive
 
     for s in range(n):
         for v in adj[s]:
             if v > s:
-                walk([s, v])
-    return [c for c in cycles if _connected(adj, range(n), removed=frozenset(c))]
+                walk([s, v], 1 << s | 1 << v, 0)
+    return [c for c, used in found if rest_connected(used)]
 
 
 def _certify(adj):
     """Certificate of the completed graph if it is a sphere type, else None.
 
     The peripheral cycles are offered to `_sphere_map` as faces.  A face list
-    that passes and uses every edge is a 3-connected sphere embedding of the
-    graph itself; by Tutte's theorem every polyhedral graph yields one.
+    that passes is a sphere map on all V vertices, so by Euler it has
+    E' - V + 2 faces, where E' counts the edges it uses.  Requiring
+    E - V + 2 peripheral cycles first therefore rejects exactly the maps
+    that miss an edge, before any map is built.  A map that passes and uses
+    every edge is a 3-connected sphere embedding of the graph itself; by
+    Tutte's theorem every polyhedral graph yields one.
     """
-    graph = dict(enumerate(adj))
+    n = len(adj)
+    cycles = _peripheral_cycles(dict(enumerate(adj)))
+    if len(cycles) != sum(len(nbrs) for nbrs in adj) // 2 - n + 2:
+        return None
     try:
-        m = _sphere_map(AbstractPolyhedron(len(adj), _peripheral_cycles(graph)))
+        m = _sphere_map(AbstractPolyhedron(n, cycles))
     except PolyhedronError:
         return None
-    if 2 * m.profile.e != sum(len(nbrs) for nbrs in adj):
-        return None  # some edge lies on no face
     return _canonical_form(m)
 
 

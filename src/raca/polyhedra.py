@@ -337,6 +337,11 @@ def lemma_rem_check(p: AbstractPolyhedron) -> LemmaResult:
 # starting directed edge in both senses of rotation, and the lexicographic
 # minimum serialization is the certificate.  Two polyhedra are isomorphic
 # (allowing reflection) iff their certificates are equal.
+#
+# Row 0 of a code is (1, 2, ..., deg(root)), so the minimum always starts at
+# a root of minimum degree and only those roots are tried.  Each code is
+# compared row by row with the best one so far and abandoned at the first
+# row that is larger; neither shortcut can change the minimum.
 
 def _oriented_faces(m: _SphereMap) -> list:
     faces = m.poly.faces
@@ -376,12 +381,13 @@ def _canonical_form(m: _SphereMap) -> str:
     n = m.poly.vertex_count
     rotation = _rotation_system(_oriented_faces(m))
     inverse = {v: k for k, v in rotation.items()}
+    low = min(len(m.adj[v]) for v in range(n))
+    darts = sorted(d for d in rotation if len(m.adj[d[0]]) == low)
     best = None
-    darts = sorted(rotation.keys())
     for rot in (rotation, inverse):  # second pass covers the mirror image
         for start in darts:
-            code = _bfs_code(n, rot, start)
-            if best is None or code < best:
+            code = _bfs_code(n, rot, start, best)
+            if code is not None:
                 best = code
     payload = ";".join(",".join(str(x) for x in row) for row in best)
     return f"c{n}|{payload}"
@@ -392,11 +398,13 @@ def canonical_form(p: AbstractPolyhedron) -> str:
     return _canonical_form(_sphere_map(p))
 
 
-def _bfs_code(n, rotation, start) -> tuple:
+def _bfs_code(n, rotation, start, bound) -> tuple | None:
+    """The BFS code from `start`; None if a `bound` is given and it is not below it."""
     labels = {start[0]: 0, start[1]: 1}
     order = [start[0], start[1]]
     entry = {start[0]: start, start[1]: (start[1], start[0])}
     rows = []
+    smaller = bound is None
     idx = 0
     while idx < len(order):
         v = order[idx]
@@ -414,10 +422,15 @@ def _bfs_code(n, rotation, start) -> tuple:
             dart = rotation[dart]
             if dart == first:
                 break
-        rows.append(tuple(row))
+        row = tuple(row)
+        if not smaller:
+            if row > bound[len(rows)]:
+                return None
+            smaller = row < bound[len(rows)]
+        rows.append(row)
     if len(order) != n:  # cannot happen for validated input
         raise PolyhedronError(DISCONNECTED, "rotation system does not cover all vertices")
-    return tuple(rows)
+    return tuple(rows) if smaller else None  # an exact tie is not smaller
 
 
 def is_isomorphic(p: AbstractPolyhedron, q: AbstractPolyhedron) -> bool:

@@ -4,9 +4,12 @@ import json
 import math
 import random
 import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
+from raca import catalog
 from raca.arithmeticity import (
     INF,
     CoxeterMatrix,
@@ -17,6 +20,7 @@ from raca.arithmeticity import (
     load_coxeter,
 )
 from raca.errors import DomainError, ResourceLimitError
+from raca.polyhedra import dual_graph
 from raca.surd import ONE, SQRT2, SQRT3, SQRT6, ZERO, SurdInteger
 
 D344 = {"size": 4, "m": [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 4], [2, 2, 4, 1]]}
@@ -192,6 +196,42 @@ def test_is_arithmetic_on_reference_diagrams():
     assert res.max_len == 3
 
     assert is_arithmetic_noncocompact(tri, max_len=2).arithmetic
+
+
+def _coxeter_from_faces(poly):
+    """Coxeter matrix of a right-angled polyhedron whose face pairs all touch.
+
+    Adjacent faces meet at a right angle (label 2), and non-adjacent faces
+    that share an ideal vertex are parallel (label inf).  Any other pair is
+    ultraparallel, with a label the combinatorics does not fix: refused.
+    """
+    adjacent = {(i, j) for i, j, _ in dual_graph(poly).edges}
+    degree = Counter(v for face in poly.faces for v in face)
+    faces = [set(face) for face in poly.faces]
+    n = len(faces)
+    m = [[1] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        if (i, j) in adjacent:
+            label = 2
+        elif any(degree[v] == 4 for v in faces[i] & faces[j]):
+            label = "inf"
+        else:
+            raise ValueError(f"faces {i} and {j} are ultraparallel")
+        m[i][j] = m[j][i] = label
+    return load_coxeter({"size": n, "m": m})
+
+
+def test_minimal_polyhedron_group_is_arithmetic():
+    # the paper's claim for P32: its six faces pair up as 9 right angles and
+    # 6 parallel pairs, and the group passes Vinberg's criterion
+    matrix = _coxeter_from_faces(catalog.p32())
+    assert sum(row.count(INF) for row in matrix.m) == 2 * 6
+    res = is_arithmetic_noncocompact(gram_from_coxeter(matrix))
+    assert res.arithmetic
+    assert res.cycles_checked == 7
+    for build in (catalog.p28, catalog.p34):
+        with pytest.raises(ValueError, match="ultraparallel"):
+            _coxeter_from_faces(build())
 
 
 def test_result_serialization():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,10 @@ from raca.polyhedra import (
     READING_DISTINCT,
     AbstractPolyhedron,
     _canonical_form,
+    _connected,
+    _map_from_certificate,
+    _oriented_faces,
+    _rotation_system,
     _sphere_map,
     canonical_form,
     face_statistics,
@@ -347,3 +352,187 @@ def test_both_readings_share_one_backtrack(monkeypatch):
     assert verify_minimality().verified
     assert not verify_minimality(condition3_reading=READING_DISTINCT).verified
     assert len(leaves) == 1433  # one reading's worth, not 2866
+
+
+def _reference_bfs_code(n, rotation, start):
+    """The full BFS code from one starting dart, with no early cut-off."""
+    labels = {start[0]: 0, start[1]: 1}
+    order = [start[0], start[1]]
+    entry = {start[0]: start, start[1]: (start[1], start[0])}
+    rows = []
+    idx = 0
+    while idx < len(order):
+        v = order[idx]
+        idx += 1
+        first = entry[v]
+        row = []
+        dart = first
+        while True:
+            w = dart[1]
+            if w not in labels:
+                labels[w] = len(order)
+                order.append(w)
+                entry[w] = (w, v)
+            row.append(labels[w])
+            dart = rotation[dart]
+            if dart == first:
+                break
+        rows.append(tuple(row))
+    assert len(order) == n
+    return tuple(rows)
+
+
+def _reference_search(m):
+    """The former full search: (minimum code, number of flags attaining it).
+
+    A flag is a starting dart with a sense of rotation; the flags whose code
+    is the minimum are the images of one flag under the map's automorphisms.
+    """
+    n = m.poly.vertex_count
+    rotation = _rotation_system(_oriented_faces(m))
+    inverse = {v: k for k, v in rotation.items()}
+    codes = [_reference_bfs_code(n, rot, start)
+             for rot in (rotation, inverse) for start in sorted(rotation)]
+    best = min(codes)
+    return best, codes.count(best)
+
+
+def _reference_canonical_form(m):
+    best, _ = _reference_search(m)
+    payload = ";".join(",".join(str(x) for x in row) for row in best)
+    return f"c{m.poly.vertex_count}|{payload}"
+
+
+def _reference_peripheral_cycles(adj):
+    """The former set-based peripheral cycle walk, kept as the reference."""
+    n = len(adj)
+    cycles = []
+
+    def walk(path):
+        start, last = path[0], path[-1]
+        for w in adj[last]:
+            if w <= start or w in path or any(w in adj[v] for v in path[1:-1]):
+                continue
+            if w in adj[start]:
+                if path[1] < w:
+                    cycles.append(tuple(path) + (w,))
+            else:
+                path.append(w)
+                walk(path)
+                path.pop()
+
+    for s in range(n):
+        for v in adj[s]:
+            if v > s:
+                walk([s, v])
+    return [c for c in cycles if _connected(adj, range(n), removed=frozenset(c))]
+
+
+def _reference_certify(adj):
+    """The former leaf check: sphere map first, then the every-edge test."""
+    graph = dict(enumerate(adj))
+    try:
+        m = _sphere_map(AbstractPolyhedron(len(adj), _reference_peripheral_cycles(graph)))
+    except PolyhedronError:
+        return None
+    if 2 * m.profile.e != sum(len(nbrs) for nbrs in adj):
+        return None  # some edge lies on no face
+    return _reference_canonical_form(m)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("degrees", [
+    *[(4,) * p.v_inf + (3,) * p.v_f for p in candidate_pairs()],
+    *[(3,) * n for n in (4, 6, 8, 10, 12)],
+    *[(4,) * n for n in (6, 7, 8, 9, 10)],
+], ids=lambda d: f"{d.count(4)}-{d.count(3)}")
+def test_leaf_check_matches_the_references(monkeypatch, degrees, reverse):
+    certify = census._certify
+    leaves = []
+
+    def both(adj):
+        graph = dict(enumerate(adj))
+        assert census._peripheral_cycles(graph) == _reference_peripheral_cycles(graph)
+        got = certify(adj)
+        assert got == _reference_certify(adj), [sorted(a) for a in adj]
+        leaves.append(got is not None)
+        return got
+
+    monkeypatch.setattr(census, "_certify", both)
+    census._extend(degrees, [set() for _ in degrees], 0, reverse, set())
+    assert leaves
+
+
+def _mirrored(p, seed):
+    """A random relabeling, mirrored on odd seeds, with faces rotated and shuffled."""
+    rng = random.Random(seed)
+    perm = list(range(p.vertex_count))
+    rng.shuffle(perm)
+    faces = []
+    for face in p.faces:
+        g = tuple(perm[v] for v in (reversed(face) if seed % 2 else face))
+        r = rng.randrange(len(g))
+        faces.append(g[r:] + g[:r])
+    rng.shuffle(faces)
+    return AbstractPolyhedron(p.vertex_count, faces)
+
+
+def test_canonical_form_matches_the_full_search():
+    polys = [build() for build in catalog.NAMED.values()]
+    polys += [catalog.lobell(n) for n in range(5, 33)]
+    polys += [catalog.antiprism(n) for n in range(3, 40)]
+    for p in polys:
+        m = _sphere_map(p)
+        assert _canonical_form(m) == _reference_canonical_form(m), p
+    rng = random.Random(20261018)
+    for p in polys:
+        if p.vertex_count > 24:
+            continue
+        cert = canonical_form(p)
+        for seed in rng.sample(range(1000), 4):
+            m = _sphere_map(_mirrored(p, seed))
+            assert _canonical_form(m) == _reference_canonical_form(m) == cert
+
+
+def _labelled_polyhedral_graphs(degrees):
+    """Graphs on 0..n-1 with these degrees that `_certify` accepts, each once.
+
+    Vertex i takes every set of higher neighbours with room left: no
+    symmetry pruning and no dedup, unlike `census._extend`.
+    """
+    n = len(degrees)
+    adj = [set() for _ in degrees]
+    count = 0
+
+    def rec(i):
+        nonlocal count
+        if i == n:
+            count += census._certify(adj) is not None
+            return
+        room = [j for j in range(i + 1, n) if len(adj[j]) < degrees[j]]
+        for combo in combinations(room, degrees[i] - len(adj[i])):
+            for j in combo:
+                adj[i].add(j)
+                adj[j].add(i)
+            rec(i + 1)
+            for j in combo:
+                adj[i].remove(j)
+                adj[j].remove(i)
+
+    rec(0)
+    return count
+
+
+@pytest.mark.parametrize("vi,vf,labelled", [
+    (3, 2, 1), (2, 4, 24), (3, 4, 336), (2, 6, 7920)])
+def test_census_types_satisfy_the_mass_formula(vi, vf, labelled):
+    # By Whitney a polyhedral graph has one sphere embedding up to
+    # reflection, so each type T is hit by vi! vf! / |Aut(T)| labellings
+    # with the degree-4 vertices first
+    relabelings = math.factorial(vi) * math.factorial(vf)
+    mass = 0
+    for cert, m in census._sphere_types(vi, vf, False):
+        _, automorphisms = _reference_search(_map_from_certificate(cert))
+        assert relabelings % automorphisms == 0
+        mass += relabelings // automorphisms
+    assert mass == _labelled_polyhedral_graphs((4,) * vi + (3,) * vf) == labelled
