@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalog
-from .errors import DomainError, PolyhedronError, RacaError, ResourceLimitError
+from .errors import DomainError, PolyhedronError, RacaError
 from .lobachevsky import catalan_constant, v_oct
 from .polyhedra import (
     READING_DISJOINT,
@@ -36,8 +36,6 @@ from .volumes import VolumeReport, lobell_volume, mixed_lower_bound, named_volum
 MIN_FACES_ONE_IDEAL = 12
 MIN_FACES_ONE_IDEAL_SOURCE = (
     "Nonaka: face count of a right-angled polyhedron with one ideal vertex")
-
-_ENUMERATION_CAP = 12  # total vertex count beyond this is out of scope
 
 
 @dataclass(frozen=True, order=True)
@@ -119,14 +117,12 @@ class TheoremReport:
 def candidate_pairs() -> list:
     """Integer points of the admissible region, in lexicographic order."""
     pairs = []
-    vi = 2
-    while 4 * vi + 2 <= 16:
-        vf = 2
-        while 4 * vi + vf <= 16:
-            if 2 * vi + vf >= 8:
+    for vi in range(5):  # 4*V_ideal + V_finite <= 16 bounds both counts
+        for vf in range(17):
+            try:
                 pairs.append(CandidatePair(vi, vf))
-            vf += 2
-        vi += 1
+            except DomainError:
+                pass
     return pairs
 
 
@@ -347,9 +343,6 @@ def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
         pair = CandidatePair(*pair)
     if condition3_reading not in (READING_DISJOINT, READING_DISTINCT):
         raise DomainError(f"unknown condition3 reading {condition3_reading!r}")
-    if pair.v_inf + pair.v_f > _ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"enumeration limited to V_ideal + V_finite <= {_ENUMERATION_CAP}")
     _check_workers(workers)
 
     survivors = []

@@ -4,6 +4,9 @@ Exit codes: 0 success or pass, 2 mathematical failure (a check or
 verification that ran and came out false), 3 input error, 4 resource
 limit.  All output is deterministic; --json switches any subcommand to a
 stable JSON schema with sorted keys.
+
+Each leaf command is declared once, by one `_leaf` call that names its
+arguments, handler and computation; no handler branches on the subcommand.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ def _precision_type(text) -> int:
     return prec
 
 
-def _precision(args, default: int) -> int:
-    return default if args.precision is None else args.precision
-
-
 def _cmd_lob(args) -> int:
     theta = parse_angle(args.theta)
     result = lobachevsky(theta)
@@ -96,67 +95,53 @@ def _cmd_lob(args) -> int:
         _emit({"theta": theta, "value": result.value,
                "error_bound": result.abs_error_bound})
     else:
-        print(f"{result.value:.{_precision(args, 12)}f}")
+        print(f"{result.value:.{args.precision}f}")
     return 0
 
 
 def _cmd_volume(args) -> int:
-    kind = args.volume_kind
-    if kind == "orthoscheme":
-        report = orthoscheme_volume(
-            parse_angle(args.alpha), parse_angle(args.beta), parse_angle(args.gamma))
-    elif kind == "lobell":
-        report = lobell_volume(args.n)
-    elif kind == "antiprism":
-        report = antiprism_volume(args.n)
-    else:
-        report = named_volume(args.name)
+    report = args.compute(args)
     if args.json:
         _emit({"value": report.value, "formula": report.formula,
                "error_bound": report.abs_error_bound})
     else:
-        prec = _precision(args, 6)
-        print(f"{report.value:.{prec}f}  ({report.formula})")
+        print(f"{report.value:.{args.precision}f}  ({report.formula})")
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    kind = args.bounds_kind
-    if kind == "compact":
-        pair = atkinson_bounds_compact(args.vertices)
-    elif kind == "ideal":
-        pair = atkinson_bounds_ideal(args.vertices)
-    else:
-        pair = mixed_bounds(args.videal, args.vfinite)
+    pair = args.compute(args)
     if args.json:
         _emit({"lower": pair.lower, "upper": pair.upper,
                "lower_attained": pair.lower_attained})
     else:
-        prec = _precision(args, 6)
+        prec = args.precision
         tail = "  (lower bound attained)" if pair.lower_attained else ""
         print(f"lower={pair.lower:.{prec}f} upper={pair.upper:.{prec}f}{tail}")
     return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_stats(args) -> int:
     p = load_polyhedron(args.file)
-    if args.check_kind == "stats":
-        profile = validate(p)
-        stats = face_statistics(p)
-        vector = {str(k): stats.p[k] for k in sorted(stats.p)}
-        if args.json:
-            _emit({"vertex_count": p.vertex_count, "edges": profile.e,
-                   "faces": profile.f, "v_ideal": profile.v_inf,
-                   "v_finite": profile.v_f, "face_vector": vector,
-                   "w": stats.w, "wi": stats.wi})
-        else:
-            parts = " ".join(f"p{k}={v}" for k, v in vector.items())
-            print(f"V={p.vertex_count} E={profile.e} F={profile.f} "
-                  f"ideal={profile.v_inf} finite={profile.v_f} {parts} "
-                  f"W={stats.w} WI={stats.wi}")
-        return 0
+    profile = validate(p)
+    stats = face_statistics(p)
+    vector = {str(k): stats.p[k] for k in sorted(stats.p)}
+    if args.json:
+        _emit({"vertex_count": p.vertex_count, "edges": profile.e,
+               "faces": profile.f, "v_ideal": profile.v_inf,
+               "v_finite": profile.v_f, "face_vector": vector,
+               "w": stats.w, "wi": stats.wi})
+    else:
+        parts = " ".join(f"p{k}={v}" for k, v in vector.items())
+        print(f"V={p.vertex_count} E={profile.e} F={profile.f} "
+              f"ideal={profile.v_inf} finite={profile.v_f} {parts} "
+              f"W={stats.w} WI={stats.wi}")
+    return 0
 
-    result = andreev_check(p, condition3_reading=args.condition3_reading)
+
+def _cmd_andreev(args) -> int:
+    result = andreev_check(load_polyhedron(args.file),
+                           condition3_reading=args.condition3_reading)
     if args.json:
         _emit({"passed": result.passed, "condition": result.condition,
                "witness": result.witness, "reading": result.reading})
@@ -178,8 +163,7 @@ def _cmd_census_enumerate(args) -> int:
     for cert in record.realizable_types:
         print(f"  {cert}")
     if record.volume is not None:
-        prec = _precision(args, 6)
-        print(f"  volume = {record.volume.value:.{prec}f}  ({record.volume.formula})")
+        print(f"  volume = {record.volume.value:.{args.precision}f}  ({record.volume.formula})")
     return 0
 
 
@@ -188,9 +172,8 @@ def _cmd_verify_theorem(args) -> int:
     if args.json:
         _emit(report.to_dict())
         return 0 if report.verified else 2
-    prec = _precision(args, 6)
     print(f"verified: {'yes' if report.verified else 'no'}")
-    print(f"minimal volume = {report.minimal_volume:.{prec}f}")
+    print(f"minimal volume = {report.minimal_volume:.{args.precision}f}")
     print(f"witness = {report.witness}")
     print(f"uniqueness = {report.uniqueness}")
     print(f"condition3 reading = {report.condition3_reading}")
@@ -217,16 +200,28 @@ def _cmd_arith(args) -> int:
     return 0 if result.arithmetic else 2
 
 
-def _add_common(sub) -> None:
+_INT = {"type": int}
+
+
+def _leaf(kinds, name, help, handler, arguments=(), *, compute=None,
+          reading=False, precision=6) -> None:
+    """Declare one leaf command: its arguments in order, then the shared
+    --condition3-reading (if `reading`), --json and --precision options."""
+    sub = kinds.add_parser(name, help=help)
+    for flag, options in arguments:
+        sub.add_argument(flag, **options)
+    if reading:
+        sub.add_argument("--condition3-reading", default=READING_DISJOINT,
+                         choices=(READING_DISJOINT, READING_DISTINCT),
+                         help="quantifier reading for realizability condition 3")
     sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--precision", type=_precision_type, default=None, metavar="D",
+    sub.add_argument("--precision", type=_precision_type, default=precision, metavar="D",
                      help="decimal places for plain output (max 12)")
+    sub.set_defaults(func=handler, compute=compute)
 
 
-def _add_reading(sub) -> None:
-    sub.add_argument("--condition3-reading", default=READING_DISJOINT,
-                     choices=(READING_DISJOINT, READING_DISTINCT),
-                     help="quantifier reading for realizability condition 3")
+def _kinds(commands, name, help, dest):
+    return commands.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,82 +230,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Right-angled polyhedra: volumes, census, arithmeticity.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    lob = commands.add_parser("lob", help="Lobachevsky function value")
-    lob.add_argument("theta", help="angle (decimal or pi/<k>)")
-    _add_common(lob)
-    lob.set_defaults(func=_cmd_lob)
+    _leaf(commands, "lob", "Lobachevsky function value", _cmd_lob,
+          [("theta", {"help": "angle (decimal or pi/<k>)"})], precision=12)
 
-    volume = commands.add_parser("volume", help="closed-form volumes")
-    vkinds = volume.add_subparsers(dest="volume_kind", required=True)
-    ortho = vkinds.add_parser("orthoscheme", help="volume of R(alpha, beta, gamma)")
-    for name in ("alpha", "beta", "gamma"):
-        ortho.add_argument(name)
-    _add_common(ortho)
-    ortho.set_defaults(func=_cmd_volume)
-    for family in ("lobell", "antiprism"):
-        fam = vkinds.add_parser(family, help=f"{family} family volume")
-        fam.add_argument("n", type=int)
-        _add_common(fam)
-        fam.set_defaults(func=_cmd_volume)
-    named = vkinds.add_parser("named", help="volume of a named polyhedron")
-    named.add_argument("name")
-    _add_common(named)
-    named.set_defaults(func=_cmd_volume)
+    volume = _kinds(commands, "volume", "closed-form volumes", "volume_kind")
+    _leaf(volume, "orthoscheme", "volume of R(alpha, beta, gamma)", _cmd_volume,
+          [("alpha", {}), ("beta", {}), ("gamma", {})],
+          compute=lambda a: orthoscheme_volume(
+              parse_angle(a.alpha), parse_angle(a.beta), parse_angle(a.gamma)))
+    _leaf(volume, "lobell", "lobell family volume", _cmd_volume, [("n", _INT)],
+          compute=lambda a: lobell_volume(a.n))
+    _leaf(volume, "antiprism", "antiprism family volume", _cmd_volume, [("n", _INT)],
+          compute=lambda a: antiprism_volume(a.n))
+    _leaf(volume, "named", "volume of a named polyhedron", _cmd_volume, [("name", {})],
+          compute=lambda a: named_volume(a.name))
 
-    bounds = commands.add_parser("bounds", help="volume bounds from vertex counts")
-    bkinds = bounds.add_subparsers(dest="bounds_kind", required=True)
-    compact = bkinds.add_parser("compact", help="compact, V vertices")
-    compact.add_argument("vertices", type=int)
-    _add_common(compact)
-    compact.set_defaults(func=_cmd_bounds)
-    ideal = bkinds.add_parser("ideal", help="ideal, V vertices")
-    ideal.add_argument("vertices", type=int)
-    _add_common(ideal)
-    ideal.set_defaults(func=_cmd_bounds)
-    mixed = bkinds.add_parser("mixed", help="mixed vertex counts")
-    mixed.add_argument("videal", type=int)
-    mixed.add_argument("vfinite", type=int)
-    _add_common(mixed)
-    mixed.set_defaults(func=_cmd_bounds)
+    bounds = _kinds(commands, "bounds", "volume bounds from vertex counts", "bounds_kind")
+    _leaf(bounds, "compact", "compact, V vertices", _cmd_bounds, [("vertices", _INT)],
+          compute=lambda a: atkinson_bounds_compact(a.vertices))
+    _leaf(bounds, "ideal", "ideal, V vertices", _cmd_bounds, [("vertices", _INT)],
+          compute=lambda a: atkinson_bounds_ideal(a.vertices))
+    _leaf(bounds, "mixed", "mixed vertex counts", _cmd_bounds,
+          [("videal", _INT), ("vfinite", _INT)],
+          compute=lambda a: mixed_bounds(a.videal, a.vfinite))
 
-    check = commands.add_parser("check", help="combinatorial checks on a polyhedron file")
-    ckinds = check.add_subparsers(dest="check_kind", required=True)
-    andreev = ckinds.add_parser("andreev", help="realizability conditions")
-    andreev.add_argument("file")
-    _add_reading(andreev)
-    _add_common(andreev)
-    andreev.set_defaults(func=_cmd_check)
-    stats = ckinds.add_parser("stats", help="combinatorial statistics")
-    stats.add_argument("file")
-    _add_common(stats)
-    stats.set_defaults(func=_cmd_check)
+    check = _kinds(commands, "check", "combinatorial checks on a polyhedron file", "check_kind")
+    _leaf(check, "andreev", "realizability conditions", _cmd_andreev, [("file", {})], reading=True)
+    _leaf(check, "stats", "combinatorial statistics", _cmd_stats, [("file", {})])
 
-    census = commands.add_parser("census", help="combinatorial census")
-    censuskinds = census.add_subparsers(dest="census_kind", required=True)
-    enum = censuskinds.add_parser("enumerate", help="enumerate realizable types")
-    enum.add_argument("--videal", type=int, required=True)
-    enum.add_argument("--vfinite", type=int, required=True)
-    _add_reading(enum)
-    _add_common(enum)
-    enum.set_defaults(func=_cmd_census_enumerate)
-    verify = censuskinds.add_parser("verify-theorem", help="verify minimal volume")
-    _add_reading(verify)
-    _add_common(verify)
-    verify.set_defaults(func=_cmd_verify_theorem)
+    def verify_theorem(kinds, help):
+        _leaf(kinds, "verify-theorem", help, _cmd_verify_theorem, reading=True)
 
-    arith = commands.add_parser("arith", help="arithmeticity of a Coxeter diagram")
-    akinds = arith.add_subparsers(dest="arith_kind", required=True)
-    acheck = akinds.add_parser("check", help="Vinberg cyclic-product criterion")
-    acheck.add_argument("file")
-    acheck.add_argument("--max-len", type=int, default=None)
-    _add_common(acheck)
-    acheck.set_defaults(func=_cmd_arith)
+    census = _kinds(commands, "census", "combinatorial census", "census_kind")
+    _leaf(census, "enumerate", "enumerate realizable types", _cmd_census_enumerate,
+          [("--videal", {"type": int, "required": True}),
+           ("--vfinite", {"type": int, "required": True})], reading=True)
+    verify_theorem(census, "verify minimal volume")
 
-    alias = commands.add_parser("verify-theorem", help="alias of census verify-theorem")
-    _add_reading(alias)
-    _add_common(alias)
-    alias.set_defaults(func=_cmd_verify_theorem)
+    arith = _kinds(commands, "arith", "arithmeticity of a Coxeter diagram", "arith_kind")
+    _leaf(arith, "check", "Vinberg cyclic-product criterion", _cmd_arith,
+          [("file", {}), ("--max-len", _INT)])
 
+    verify_theorem(commands, "alias of census verify-theorem")
     return parser
 
 

@@ -271,10 +271,6 @@ def _andreev(m: _SphereMap, reading: str) -> AndreevResult:
     if len(faces) < 6:
         return AndreevResult(False, 1, len(faces), reading)
 
-    for v in range(m.poly.vertex_count):
-        if len(m.adj[v]) not in (3, 4):  # unreachable after validation; kept for clarity
-            return AndreevResult(False, 2, (v, len(m.adj[v])), reading)
-
     face_sets = [set(face) for face in faces]
     for fj, around in enumerate(m.dual):
         for fi, fk in combinations(sorted(around), 2):
@@ -300,8 +296,10 @@ def andreev_check(p: AbstractPolyhedron, condition3_reading: str = READING_DISJO
     with distinct endpoints, F_i and F_k are disjoint; (4) no prismatic
     k-circuits for k <= 4.
 
-    Conditions are evaluated in the fixed order 4, 1, 2, 3 and the first
-    failure is reported.  (A prismatic circuit is the most informative
+    Condition (2) is enforced by validation: a vertex of another degree
+    raises PolyhedronError with code bad_degree before any condition is
+    evaluated.  The others are evaluated in the fixed order 4, 1, 3 and the
+    first failure is reported.  (A prismatic circuit is the most informative
     witness, and a polyhedron small enough to fail condition 1 cannot carry
     one: a prismatic 3-circuit needs six distinct vertices.)
     `condition3_reading` selects how "edges with distinct endpoints" is

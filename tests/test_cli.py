@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -356,6 +357,53 @@ _FLAGS = st.lists(st.sampled_from(["--json", "--precision", "3", "-1", "13", "99
 def test_cli_fuzz_fileless_exit_codes(capsys, argv, flags):
     assert main([*argv, *flags]) in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+_VOLUME_KEYS = {"value", "formula", "error_bound"}
+_BOUNDS_KEYS = {"lower", "upper", "lower_attained"}
+_THEOREM_KEYS = {"minimal_volume", "witness", "uniqueness", "verified", "failures",
+                 "condition3_reading", "branch_log"}
+_COMMON = ["--json", "--precision"]
+_READING = ["--condition3-reading", *_COMMON]
+_LEAVES = [  # argv (file names are keys of the files fixture), JSON keys, options
+    (["lob", "pi/4"], {"theta", "value", "error_bound"}, _COMMON),
+    (["volume", "orthoscheme", "pi/5", "pi/3", "pi/4"], _VOLUME_KEYS, _COMMON),
+    (["volume", "lobell", "5"], _VOLUME_KEYS, _COMMON),
+    (["volume", "antiprism", "3"], _VOLUME_KEYS, _COMMON),
+    (["volume", "named", "P32"], _VOLUME_KEYS, _COMMON),
+    (["bounds", "compact", "20"], _BOUNDS_KEYS, _COMMON),
+    (["bounds", "ideal", "6"], _BOUNDS_KEYS, _COMMON),
+    (["bounds", "mixed", "3", "2"], _BOUNDS_KEYS, _COMMON),
+    (["check", "stats", "p32"], {"vertex_count", "edges", "faces", "v_ideal", "v_finite",
+                                 "face_vector", "w", "wi"}, _COMMON),
+    (["check", "andreev", "p32"], {"passed", "condition", "witness", "reading"}, _READING),
+    (["census", "enumerate", "--videal", "3", "--vfinite", "2"],
+     {"pair", "count", "realizable_types", "volume", "condition3_reading"},
+     ["--videal", "--vfinite", *_READING]),
+    (["census", "verify-theorem"], _THEOREM_KEYS, _READING),
+    (["arith", "check", "d444"], {"arithmetic", "witness_cycle", "witness_product",
+                                  "cycles_checked", "max_len", "note"},
+     ["--max-len", *_COMMON]),
+    (["verify-theorem"], _THEOREM_KEYS, _READING),
+]
+
+
+@pytest.mark.parametrize("argv,keys,options", _LEAVES,
+                         ids=[" ".join(argv[:1 if argv[0] in ("lob", "verify-theorem") else 2])
+                              for argv, _, _ in _LEAVES])
+def test_leaf_contract(capsys, files, argv, keys, options):
+    argv = [files.get(arg, arg) for arg in argv]
+    assert main([*argv, "--precision", "13"]) == 3
+    assert "--precision" in capsys.readouterr().err
+
+    rc, out = run(capsys, *argv, "--json")
+    assert rc == 0 and set(json.loads(out)) == keys
+
+    rc, out = run(capsys, *argv, "--help")
+    assert rc == 0
+    # the option order of the help text, not its layout
+    section = out.split("\noptions:\n")[1]
+    assert re.findall(r"^  (?:-h, )?(--[\w-]+)", section, re.M) == ["--help", *options]
 
 
 def test_usage_errors_map_to_input_code(capsys):

@@ -99,6 +99,10 @@ def test_validation_error_codes(code, vertex_count, faces):
     with pytest.raises(PolyhedronError) as exc:
         validate(AbstractPolyhedron(vertex_count, faces))
     assert exc.value.code == code
+    # andreev_check validates first, so condition 2 is reported as bad_degree
+    with pytest.raises(PolyhedronError) as exc:
+        andreev_check(AbstractPolyhedron(vertex_count, faces))
+    assert exc.value.code == code
 
 
 def test_vertex_count_beyond_the_faces_is_disconnected():
