@@ -37,6 +37,24 @@ MIN_FACES_ONE_IDEAL = 12
 MIN_FACES_ONE_IDEAL_SOURCE = (
     "Nonaka: face count of a right-angled polyhedron with one ideal vertex")
 
+# 4*V_ideal + V_finite is at most this when the volume lower bound is at most G.
+_VOLUME_BOUND = 16
+
+
+def _outside_region(vi: int, vf: int):
+    """The first inequality of the admissible region that (vi, vf) breaks, or None."""
+    if vf % 2 != 0:
+        return "V_finite must be even"
+    if vi < 2:
+        return "V_ideal must be at least 2"
+    if vf < 2:
+        return "V_finite must be at least 2"
+    if 2 * vi + vf < 8:
+        return "V_ideal + V_finite/2 must be at least 4"
+    if 4 * vi + vf > _VOLUME_BOUND:
+        return f"4*V_ideal + V_finite must be at most {_VOLUME_BOUND}"
+    return None
+
 
 @dataclass(frozen=True, order=True)
 class CandidatePair:
@@ -44,7 +62,7 @@ class CandidatePair:
 
     The admissible region is cut out by: V_finite even, V_ideal >= 2,
     V_finite >= 2, V_ideal + V_finite/2 >= 4 (at least six faces), and
-    4*V_ideal + V_finite <= 16 (volume lower bound at most G).
+    4*V_ideal + V_finite <= _VOLUME_BOUND (volume lower bound at most G).
     """
 
     v_inf: int
@@ -55,16 +73,9 @@ class CandidatePair:
         if not isinstance(vi, int) or not isinstance(vf, int) \
                 or isinstance(vi, bool) or isinstance(vf, bool):
             raise DomainError("candidate pair: vertex counts must be integers")
-        if vf % 2 != 0:
-            raise DomainError("candidate pair: V_finite must be even")
-        if vi < 2:
-            raise DomainError("candidate pair: V_ideal must be at least 2")
-        if vf < 2:
-            raise DomainError("candidate pair: V_finite must be at least 2")
-        if 2 * vi + vf < 8:
-            raise DomainError("candidate pair: V_ideal + V_finite/2 must be at least 4")
-        if 4 * vi + vf > 16:
-            raise DomainError("candidate pair: 4*V_ideal + V_finite must be at most 16")
+        reason = _outside_region(vi, vf)
+        if reason is not None:
+            raise DomainError(f"candidate pair: {reason}")
 
     def to_dict(self) -> dict:
         return {"v_ideal": self.v_inf, "v_finite": self.v_f}
@@ -116,14 +127,10 @@ class TheoremReport:
 
 def candidate_pairs() -> list:
     """Integer points of the admissible region, in lexicographic order."""
-    pairs = []
-    for vi in range(5):  # 4*V_ideal + V_finite <= 16 bounds both counts
-        for vf in range(17):
-            try:
-                pairs.append(CandidatePair(vi, vf))
-            except DomainError:
-                pass
-    return pairs
+    return [CandidatePair(vi, vf)
+            for vi in range(_VOLUME_BOUND // 4 + 1)
+            for vf in range(_VOLUME_BOUND + 1)
+            if _outside_region(vi, vf) is None]
 
 
 # --- degree-sequence backtracker --------------------------------------------
