@@ -7,13 +7,14 @@ stable JSON schema with sorted keys.
 
 Each leaf command is declared once, by one `_leaf` call that names its
 arguments, handler and computation; no handler branches on the subcommand.
+`main` builds only the subtree of the command it is given, not the full parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-# argparse's gettext imports locale on first use, which build_parser() is;
+# argparse's gettext imports locale when the first parser is built;
 # importing it here keeps that cost at import time instead of inside main()
 import locale  # noqa: F401
 import math
@@ -224,15 +225,12 @@ def _kinds(commands, name, help, dest):
     return commands.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="raca",
-        description="Right-angled polyhedra: volumes, census, arithmeticity.")
-    commands = parser.add_subparsers(dest="command", required=True)
-
+def _lob(commands):
     _leaf(commands, "lob", "Lobachevsky function value", _cmd_lob,
           [("theta", {"help": "angle (decimal or pi/<k>)"})], precision=12)
 
+
+def _volume(commands):
     volume = _kinds(commands, "volume", "closed-form volumes", "volume_kind")
     _leaf(volume, "orthoscheme", "volume of R(alpha, beta, gamma)", _cmd_volume,
           [("alpha", {}), ("beta", {}), ("gamma", {})],
@@ -245,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(volume, "named", "volume of a named polyhedron", _cmd_volume, [("name", {})],
           compute=lambda a: named_volume(a.name))
 
+
+def _bounds(commands):
     bounds = _kinds(commands, "bounds", "volume bounds from vertex counts", "bounds_kind")
     _leaf(bounds, "compact", "compact, V vertices", _cmd_bounds, [("vertices", _INT)],
           compute=lambda a: atkinson_bounds_compact(a.vertices))
@@ -254,34 +254,61 @@ def build_parser() -> argparse.ArgumentParser:
           [("videal", _INT), ("vfinite", _INT)],
           compute=lambda a: mixed_bounds(a.videal, a.vfinite))
 
+
+def _check(commands):
     check = _kinds(commands, "check", "combinatorial checks on a polyhedron file", "check_kind")
     _leaf(check, "andreev", "realizability conditions", _cmd_andreev, [("file", {})], reading=True)
     _leaf(check, "stats", "combinatorial statistics", _cmd_stats, [("file", {})])
 
-    def verify_theorem(kinds, help):
-        _leaf(kinds, "verify-theorem", help, _cmd_verify_theorem, reading=True)
 
+def _verify_theorem(kinds, help="alias of census verify-theorem"):
+    _leaf(kinds, "verify-theorem", help, _cmd_verify_theorem, reading=True)
+
+
+def _census(commands):
     census = _kinds(commands, "census", "combinatorial census", "census_kind")
     _leaf(census, "enumerate", "enumerate realizable types", _cmd_census_enumerate,
           [("--videal", {"type": int, "required": True}),
            ("--vfinite", {"type": int, "required": True})], reading=True)
-    verify_theorem(census, "verify minimal volume")
+    _verify_theorem(census, "verify minimal volume")
 
+
+def _arith(commands):
     arith = _kinds(commands, "arith", "arithmeticity of a Coxeter diagram", "arith_kind")
     _leaf(arith, "check", "Vinberg cyclic-product criterion", _cmd_arith,
           [("file", {}), ("--max-len", _INT)])
 
-    verify_theorem(commands, "alias of census verify-theorem")
+
+# each top-level command's declaration, in the order of the usage line
+_COMMANDS = {"lob": _lob, "volume": _volume, "bounds": _bounds, "check": _check,
+             "census": _census, "arith": _arith, "verify-theorem": _verify_theorem}
+
+
+def _parser(names, metavar=None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="raca",
+        description="Right-angled polyhedra: volumes, census, arithmeticity.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _COMMANDS[name](commands)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     # a leading space keeps argparse from reading "-pi/4" or "-1e3" as an
     # option; parse_angle and int() strip it again
     argv = [" " + arg if _NEGATED.match(arg) else arg for arg in argv]
+    if argv and argv[0] in _COMMANDS:
+        # the metavar keeps every command in the usage line of a root error
+        parser = _parser(argv[:1], metavar="{" + ",".join(_COMMANDS) + "}")
+    else:  # no command, or an unknown one: the full parser reports it
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from raca import catalog
+from raca import catalog, cli
 from raca.cli import main, parse_angle
 from raca.errors import DomainError
 
@@ -388,9 +388,12 @@ _LEAVES = [  # argv (file names are keys of the files fixture), JSON keys, optio
 ]
 
 
+def _leaf_path(argv):
+    return argv[:1 if argv[0] in ("lob", "verify-theorem") else 2]
+
+
 @pytest.mark.parametrize("argv,keys,options", _LEAVES,
-                         ids=[" ".join(argv[:1 if argv[0] in ("lob", "verify-theorem") else 2])
-                              for argv, _, _ in _LEAVES])
+                         ids=[" ".join(_leaf_path(argv)) for argv, _, _ in _LEAVES])
 def test_leaf_contract(capsys, files, argv, keys, options):
     argv = [files.get(arg, arg) for arg in argv]
     assert main([*argv, "--precision", "13"]) == 3
@@ -404,6 +407,50 @@ def test_leaf_contract(capsys, files, argv, keys, options):
     # the option order of the help text, not its layout
     section = out.split("\noptions:\n")[1]
     assert re.findall(r"^  (?:-h, )?(--[\w-]+)", section, re.M) == ["--help", *options]
+
+
+_DECLARED = [  # argv, number of leaf commands main() declares for it
+    (["lob", "pi/4"], 1),
+    (["volume", "named", "P32"], 4),
+    (["bounds", "ideal", "6"], 3),
+    (["check", "stats", "p32"], 2),
+    (["census", "enumerate", "--videal", "3", "--vfinite", "2"], 2),
+    (["arith", "check", "d444"], 1),
+    (["verify-theorem"], 1),
+    ([], 14),  # no command, an unknown one and the root help need the full parser
+    (["frobnicate"], 14),
+    (["-h"], 14),
+]
+
+
+@pytest.mark.parametrize("argv,leaves", _DECLARED,
+                         ids=[" ".join(argv[:2]) or "(none)" for argv, _ in _DECLARED])
+def test_main_declares_only_the_invoked_command(capsys, monkeypatch, files, argv, leaves):
+    declared, leaf = [], cli._leaf
+
+    def counting_leaf(kinds, name, *args, **kwargs):
+        declared.append(name)
+        leaf(kinds, name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_leaf", counting_leaf)
+    main([files.get(arg, arg) for arg in argv])
+    capsys.readouterr()
+    assert len(declared) == leaves, declared
+
+
+_PARITY = [[*_leaf_path(argv), "--help"] for argv, _, _ in _LEAVES] + [
+    ["volume"], ["bounds"], ["check"], ["census"], ["arith"],
+    ["lob"], ["lob", "1", "--bogus"], ["volume", "lobell", "5", "extra"],
+    ["census", "enumerate"], [], ["frobnicate"], ["-h"]]
+
+
+@pytest.mark.parametrize("argv", _PARITY, ids=[" ".join(argv) or "(none)" for argv in _PARITY])
+def test_subtree_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    subtree = main(argv), capsys.readouterr()
+    full = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda names, metavar=None: full(cli._COMMANDS))
+    assert subtree == (main(argv), capsys.readouterr())
 
 
 def test_usage_errors_map_to_input_code(capsys):
