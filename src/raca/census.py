@@ -254,9 +254,9 @@ def _extend(degrees, adj, i, reverse, out):
         if cert is not None:
             out.add(cert)
         return
+    # never negative: _candidate_groups offers a vertex only below its degree,
+    # and one step adds at most one edge to it
     need = degrees[i] - len(adj[i])
-    if need < 0:
-        return
     choices = list(_prefix_choices(_candidate_groups(i, degrees, adj), need))
     if reverse:
         choices.reverse()

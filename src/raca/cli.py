@@ -7,6 +7,8 @@ stable JSON schema with sorted keys.
 
 Each leaf command is declared once, by one `_leaf` call that names its
 arguments, handler and computation; no handler branches on the subcommand.
+No handler prints: each returns (exit code, JSON payload, plain text), and
+`main` prints the payload under --json and the text otherwise.
 `main` builds only the subtree of the command it is given, not the full parser.
 """
 
@@ -28,10 +30,10 @@ from .lobachevsky import lobachevsky
 from .polyhedra import (
     READING_DISJOINT,
     READING_DISTINCT,
+    _face_statistics,
+    _sphere_map,
     andreev_check,
-    face_statistics,
     load_polyhedron,
-    validate,
 )
 from .volumes import (
     antiprism_volume,
@@ -74,10 +76,6 @@ def parse_angle(text) -> float:
         raise DomainError(f"cannot parse angle {s!r}: use a decimal or pi/<k>")
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
 def _precision_type(text) -> int:
     """argparse type of --precision: checked on every command, --json included."""
     try:
@@ -89,116 +87,87 @@ def _precision_type(text) -> int:
     return prec
 
 
-def _cmd_lob(args) -> int:
+def _cmd_lob(args):
     theta = parse_angle(args.theta)
     result = lobachevsky(theta)
-    if args.json:
-        _emit({"theta": theta, "value": result.value,
-               "error_bound": result.abs_error_bound})
-    else:
-        print(f"{result.value:.{args.precision}f}")
-    return 0
+    payload = {"theta": theta, "value": result.value, "error_bound": result.abs_error_bound}
+    return 0, payload, f"{result.value:.{args.precision}f}"
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args):
     report = args.compute(args)
-    if args.json:
-        _emit({"value": report.value, "formula": report.formula,
-               "error_bound": report.abs_error_bound})
-    else:
-        print(f"{report.value:.{args.precision}f}  ({report.formula})")
-    return 0
+    payload = {"value": report.value, "formula": report.formula,
+               "error_bound": report.abs_error_bound}
+    return 0, payload, f"{report.value:.{args.precision}f}  ({report.formula})"
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     pair = args.compute(args)
-    if args.json:
-        _emit({"lower": pair.lower, "upper": pair.upper,
-               "lower_attained": pair.lower_attained})
-    else:
-        prec = args.precision
-        tail = "  (lower bound attained)" if pair.lower_attained else ""
-        print(f"lower={pair.lower:.{prec}f} upper={pair.upper:.{prec}f}{tail}")
-    return 0
+    payload = {"lower": pair.lower, "upper": pair.upper, "lower_attained": pair.lower_attained}
+    prec = args.precision
+    tail = "  (lower bound attained)" if pair.lower_attained else ""
+    return 0, payload, f"lower={pair.lower:.{prec}f} upper={pair.upper:.{prec}f}{tail}"
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args):
     p = load_polyhedron(args.file)
-    profile = validate(p)
-    stats = face_statistics(p)
+    m = _sphere_map(p)
+    profile, stats = m.profile, _face_statistics(m)
     vector = {str(k): stats.p[k] for k in sorted(stats.p)}
-    if args.json:
-        _emit({"vertex_count": p.vertex_count, "edges": profile.e,
+    payload = {"vertex_count": p.vertex_count, "edges": profile.e,
                "faces": profile.f, "v_ideal": profile.v_inf,
                "v_finite": profile.v_f, "face_vector": vector,
-               "w": stats.w, "wi": stats.wi})
-    else:
-        parts = " ".join(f"p{k}={v}" for k, v in vector.items())
-        print(f"V={p.vertex_count} E={profile.e} F={profile.f} "
-              f"ideal={profile.v_inf} finite={profile.v_f} {parts} "
-              f"W={stats.w} WI={stats.wi}")
-    return 0
+               "w": stats.w, "wi": stats.wi}
+    parts = " ".join(f"p{k}={v}" for k, v in vector.items())
+    text = (f"V={p.vertex_count} E={profile.e} F={profile.f} "
+            f"ideal={profile.v_inf} finite={profile.v_f} {parts} "
+            f"W={stats.w} WI={stats.wi}")
+    return 0, payload, text
 
 
-def _cmd_andreev(args) -> int:
+def _cmd_andreev(args):
     result = andreev_check(load_polyhedron(args.file),
                            condition3_reading=args.condition3_reading)
-    if args.json:
-        _emit({"passed": result.passed, "condition": result.condition,
-               "witness": result.witness, "reading": result.reading})
-    elif result.passed:
-        print("pass")
-    else:
-        print(f"fail: condition {result.condition} witness {result.witness}")
-    return 0 if result.passed else 2
+    payload = {"passed": result.passed, "condition": result.condition,
+               "witness": result.witness, "reading": result.reading}
+    if result.passed:
+        return 0, payload, "pass"
+    return 2, payload, f"fail: condition {result.condition} witness {result.witness}"
 
 
-def _cmd_census_enumerate(args) -> int:
+def _cmd_census_enumerate(args):
     pair = CandidatePair(args.videal, args.vfinite)
     record = enumerate_types(pair, condition3_reading=args.condition3_reading)
-    if args.json:
-        _emit(record.to_dict())
-        return 0
     count = len(record.realizable_types)
-    print(f"pair ({pair.v_inf},{pair.v_f}): {count} realizable type(s)")
-    for cert in record.realizable_types:
-        print(f"  {cert}")
+    lines = [f"pair ({pair.v_inf},{pair.v_f}): {count} realizable type(s)"]
+    lines += [f"  {cert}" for cert in record.realizable_types]
     if record.volume is not None:
-        print(f"  volume = {record.volume.value:.{args.precision}f}  ({record.volume.formula})")
-    return 0
+        volume = record.volume
+        lines.append(f"  volume = {volume.value:.{args.precision}f}  ({volume.formula})")
+    return 0, record.to_dict(), "\n".join(lines)
 
 
-def _cmd_verify_theorem(args) -> int:
+def _cmd_verify_theorem(args):
     report = verify_minimality(condition3_reading=args.condition3_reading)
-    if args.json:
-        _emit(report.to_dict())
-        return 0 if report.verified else 2
-    print(f"verified: {'yes' if report.verified else 'no'}")
-    print(f"minimal volume = {report.minimal_volume:.{args.precision}f}")
-    print(f"witness = {report.witness}")
-    print(f"uniqueness = {report.uniqueness}")
-    print(f"condition3 reading = {report.condition3_reading}")
-    for failure in report.failures:
-        print(f"failure: {failure}")
-    return 0 if report.verified else 2
+    lines = [f"verified: {'yes' if report.verified else 'no'}",
+             f"minimal volume = {report.minimal_volume:.{args.precision}f}",
+             f"witness = {report.witness}",
+             f"uniqueness = {report.uniqueness}",
+             f"condition3 reading = {report.condition3_reading}"]
+    lines += [f"failure: {failure}" for failure in report.failures]
+    return 0 if report.verified else 2, report.to_dict(), "\n".join(lines)
 
 
-def _cmd_arith(args) -> int:
+def _cmd_arith(args):
     matrix = load_coxeter(args.file)
     gram = gram_from_coxeter(matrix)
     result = is_arithmetic_noncocompact(gram, args.max_len)
-    if args.json:
-        payload = result.to_dict()
-        payload["note"] = _ARITH_CAVEAT
-        _emit(payload)
+    if result.arithmetic:
+        code, verdict = 0, f"arithmetic ({result.cycles_checked} cyclic products checked)"
     else:
-        if result.arithmetic:
-            print(f"arithmetic ({result.cycles_checked} cyclic products checked)")
-        else:
-            print(f"not arithmetic: cycle {list(result.witness_cycle)} "
-                  f"has product {result.witness_product}")
-        print(_ARITH_CAVEAT)
-    return 0 if result.arithmetic else 2
+        code, verdict = 2, (f"not arithmetic: cycle {list(result.witness_cycle)} "
+                            f"has product {result.witness_product}")
+    return code, {**result.to_dict(), "note": _ARITH_CAVEAT}, f"{verdict}\n{_ARITH_CAVEAT}"
 
 
 _INT = {"type": int}
@@ -316,16 +285,16 @@ def main(argv=None) -> int:
         # by mathematical failures, so usage problems are reported as 3
         return 0 if exc.code in (0, None) else 3
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        print(json.dumps(payload, sort_keys=True) if args.json else text)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, PolyhedronError) as exc:
+    except (DomainError, PolyhedronError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return code
 
 
 if __name__ == "__main__":

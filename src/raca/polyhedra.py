@@ -274,14 +274,10 @@ def _andreev(m: _SphereMap, reading: str) -> AndreevResult:
     face_sets = [set(face) for face in faces]
     for fj, around in enumerate(m.dual):
         for fi, fk in combinations(sorted(around), 2):
-            e_ij = around[fi]
-            e_jk = around[fk]
-            if reading == READING_DISJOINT:
-                if not _disjoint(e_ij, e_jk):
-                    continue
-            else:
-                if e_ij == e_jk:
-                    continue
+            # distinct_edges skips no pair: fi and fk are different neighbours
+            # of fj, so their edges with fj differ (no edge lies in three faces)
+            if reading == READING_DISJOINT and not _disjoint(around[fi], around[fk]):
+                continue
             if face_sets[fi] & face_sets[fk]:
                 return AndreevResult(False, 3, (fi, fj, fk), reading)
 
@@ -304,7 +300,10 @@ def andreev_check(p: AbstractPolyhedron, condition3_reading: str = READING_DISJO
     one: a prismatic 3-circuit needs six distinct vertices.)
     `condition3_reading` selects how "edges with distinct endpoints" is
     quantified: "disjoint_endpoints" (default) requires the two edges to
-    share no vertex; "distinct_edges" only requires them to differ.
+    share no vertex; "distinct_edges" only requires them to differ.  No
+    polyhedron passes under "distinct_edges": two consecutive edges of a
+    face F_j meet at a vertex that the two faces across them both contain,
+    so every polyhedron that passes conditions 4 and 1 fails condition 3.
     """
     if condition3_reading not in (READING_DISJOINT, READING_DISTINCT):
         raise DomainError(f"unknown condition3 reading {condition3_reading!r}")

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,7 @@ from raca.polyhedra import (
     _oriented_faces,
     _rotation_system,
     _sphere_map,
+    andreev_check,
     canonical_form,
     face_statistics,
     lemma_rem_check,
@@ -180,6 +182,23 @@ def test_verify_minimality_strict_reading_fails_honestly():
     assert not report.verified
     assert report.failures
     assert report.condition3_reading == READING_DISTINCT
+
+
+def test_distinct_edges_reading_passes_no_polyhedron():
+    # two consecutive edges of a face F_j meet at a vertex that both faces
+    # across them contain, so a polyhedron past conditions 4 and 1 fails 3
+    shapes = [make() for make in catalog.NAMED.values()]
+    shapes += [catalog.lobell(n) for n in range(5, 9)]
+    types = [m.poly for pair in candidate_pairs()
+             for _, m in census._sphere_types(pair.v_inf, pair.v_f, False)]
+    conditions = []
+    for p in shapes + types:
+        default = andreev_check(p)
+        strict = andreev_check(p, condition3_reading=READING_DISTINCT)
+        assert not strict.passed
+        assert strict.condition == (3 if default.passed else default.condition)
+        conditions.append(strict.condition)
+    assert Counter(conditions[len(shapes):]) == {4: 65, 3: 15}  # the 80 census types
 
 
 def test_report_serialization():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from raca import catalog, cli
+from raca import catalog, cli, polyhedra
 from raca.cli import main, parse_angle
 from raca.errors import DomainError
 
@@ -172,6 +172,19 @@ def test_check_stats(capsys, files):
     data = json.loads(out)
     assert data["face_vector"] == {"3": 6}
     assert data["w"] == 18 and data["wi"] == 12
+
+
+def test_check_stats_builds_one_sphere_map(capsys, monkeypatch, files):
+    built, sphere_map = [], polyhedra._SphereMap
+
+    def counting(*fields):
+        built.append(fields[0])
+        return sphere_map(*fields)
+
+    monkeypatch.setattr(polyhedra, "_SphereMap", counting)
+    assert main(["check", "stats", files["p32"]]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
 
 
 def test_check_andreev(capsys, files):
@@ -401,6 +414,7 @@ def test_leaf_contract(capsys, files, argv, keys, options):
 
     rc, out = run(capsys, *argv, "--json")
     assert rc == 0 and set(json.loads(out)) == keys
+    assert run(capsys, *argv)[0] == rc
 
     rc, out = run(capsys, *argv, "--help")
     assert rc == 0
