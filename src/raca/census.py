@@ -11,22 +11,25 @@ attained exactly once.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalog
-from .errors import DomainError, PolyhedronError, RacaError
+from .errors import DomainError, RacaError
 from .lobachevsky import catalan_constant, v_oct
 from .polyhedra import (
     READING_DISJOINT,
     READING_DISTINCT,
     AbstractPolyhedron,
+    CombinatorialProfile,
     _andreev,
     _canonical_form,
+    _face_edges,
     _face_statistics,
     _lemma_rem,
     _map_from_certificate,
-    _sphere_map,
+    _SphereMap,
     canonical_form,
 )
 from .volumes import VolumeReport, lobell_volume, mixed_lower_bound, named_volume
@@ -178,32 +181,20 @@ def _feasible(degrees, adj, i):
     return total % 2 == 0
 
 
-def _peripheral_cycles(adj):
+def _peripheral_cycles(adj, limit=None):
     """Induced cycles whose removal leaves the graph connected, each once.
 
     A cycle is listed from its smallest vertex, with the second vertex
     smaller than the last.  In a 3-connected planar graph these are exactly
-    the face boundaries (Tutte, *How to draw a graph*, 1963).
+    the face boundaries (Tutte, *How to draw a graph*, 1963).  Given a
+    `limit`, the walk returns None as soon as it has found more than `limit`
+    cycles or a third cycle on one edge.
     """
     n = len(adj)
     nbr = [sum(1 << w for w in adj[v]) for v in range(n)]
     everyone = (1 << n) - 1
     found = []
-
-    # `used` holds the path, `blocked` the neighbours of its interior
-    def walk(path, used, blocked):
-        start, last = path[0], path[-1]
-        for w in adj[last]:
-            bit = 1 << w
-            if w <= start or (used | blocked) & bit:
-                continue
-            if nbr[start] & bit:  # closes a chordless cycle
-                if path[1] < w:
-                    found.append((tuple(path) + (w,), used | bit))
-            else:
-                path.append(w)
-                walk(path, used | bit, blocked | nbr[last])
-                path.pop()
+    on_one = on_two = 0  # edges a*n + b, a < b, on one and on two cycles
 
     def rest_connected(cycle):
         alive = everyone & ~cycle
@@ -218,32 +209,116 @@ def _peripheral_cycles(adj):
             seen |= frontier
         return alive != 0 and seen == alive
 
+    def keep(cycle):
+        """Record one peripheral cycle; False once the limit is broken."""
+        nonlocal on_one, on_two
+        found.append(cycle)
+        if limit is None:
+            return True
+        if len(found) > limit:
+            return False
+        for i, a in enumerate(cycle):
+            b = cycle[i - 1]
+            bit = 1 << (a * n + b if a < b else b * n + a)
+            if on_two & bit:
+                return False
+            if on_one & bit:
+                on_two |= bit
+            else:
+                on_one |= bit
+        return True
+
+    # `used` holds the path, `blocked` the neighbours of its interior;
+    # returns False to stop the whole walk
+    def walk(path, used, blocked):
+        start, last = path[0], path[-1]
+        for w in adj[last]:
+            bit = 1 << w
+            if w <= start or (used | blocked) & bit:
+                continue
+            if nbr[start] & bit:  # closes a chordless cycle
+                if path[1] < w and rest_connected(used | bit) \
+                        and not keep(tuple(path) + (w,)):
+                    return False
+            else:
+                path.append(w)
+                going = walk(path, used | bit, blocked | nbr[last])
+                path.pop()
+                if not going:
+                    return False
+        return True
+
     for s in range(n):
         for v in adj[s]:
-            if v > s:
-                walk([s, v], 1 << s | 1 << v, 0)
-    return [c for c, used in found if rest_connected(used)]
+            if v > s and not walk([s, v], 1 << s | 1 << v, 0):
+                return None
+    return found
 
 
 def _certify(adj):
     """Certificate of the completed graph if it is a sphere type, else None.
 
-    The peripheral cycles are offered to `_sphere_map` as faces.  A face list
-    that passes is a sphere map on all V vertices, so by Euler it has
-    E' - V + 2 faces, where E' counts the edges it uses.  Requiring
-    E - V + 2 peripheral cycles first therefore rejects exactly the maps
-    that miss an edge, before any map is built.  A map that passes and uses
-    every edge is a 3-connected sphere embedding of the graph itself; by
-    Tutte's theorem every polyhedral graph yields one.
+    Lemma.  Let G be a simple graph with every degree 3 or 4, with exactly
+    F = E - V + 2 peripheral cycles, every edge on exactly two of them, and
+    no two of them sharing two edges.  Then these cycles are the faces of a
+    sphere embedding of G, and G is 3-connected.
+
+    Proof.  The link of a vertex v in the complex glued from the cycles has
+    a node per edge at v and an arc per cycle through v; each node lies on
+    two arcs, so the link is a union of cycles, and no two arcs join the
+    same two nodes, so each has length at least 3.  With at most 4 nodes
+    the link is one cycle, and the complex is a closed surface.  G is
+    connected: with every degree at least 3, a cycle of a disconnected
+    graph leaves a disconnected rest, and there would be no peripheral
+    cycle, while F >= 2.  So the surface is connected with
+    V - E + F = 2: a sphere.  If G - v were disconnected, two edges at v
+    leading into different components of G - v would be consecutive around
+    v, and the face between them would join the components in G - v.  If
+    {u, w} separated G, the edges at u would lead into at least two
+    components of G - {u, w}, and w can sit between only one pair of
+    consecutive ones, so some face runs from a component A through u into
+    a component B and, being a cycle, back through w.  That face is
+    peripheral, so G minus the face is connected, and A or B, say A, lies
+    wholly on the face.  A vertex of A has degree at least 3 and all its
+    neighbours in A, u and w, so on the face: a chord, though peripheral
+    cycles are induced.  Hence G is 3-connected.
+
+    The converse is Tutte's theorem (*How to draw a graph*, 1963): the
+    peripheral cycles of a 3-connected planar graph are its faces, each
+    edge lies on two of them, and two faces share at most one edge.  So a
+    leaf is a sphere type exactly when the three checks pass, and the map
+    is built from the cycles without `_sphere_map`.  The walk stops early
+    on a count above F or an edge on a third cycle; either fails a check.
+    The shared-edge check matters only where two cycles share both edges at
+    a degree-4 vertex, whose link is then two 2-cycles; otherwise the proof
+    goes through without it, and faces of a 3-connected plane graph share
+    at most one edge.  No graph tried so far reaches it.  `_sphere_types`
+    still passes each distinct certificate through `_sphere_map` and the
+    certificate round trip.
     """
     n = len(adj)
-    cycles = _peripheral_cycles(dict(enumerate(adj)))
-    if len(cycles) != sum(len(nbrs) for nbrs in adj) // 2 - n + 2:
+    if any(len(nbrs) not in (3, 4) for nbrs in adj):
         return None
-    try:
-        m = _sphere_map(AbstractPolyhedron(n, cycles))
-    except PolyhedronError:
+    e = sum(len(nbrs) for nbrs in adj) // 2
+    f = e - n + 2
+    graph = dict(enumerate(adj))
+    cycles = _peripheral_cycles(graph, f)
+    # no edge is on a third cycle, so the lengths sum to 2E exactly when
+    # every edge is on two
+    if cycles is None or len(cycles) != f or sum(map(len, cycles)) != 2 * e:
         return None
+    edge_faces = defaultdict(list)
+    for fi, face in enumerate(cycles):
+        for edge in _face_edges(face):
+            edge_faces[edge].append(fi)
+    dual = [{} for _ in range(f)]
+    for edge, (fa, fb) in edge_faces.items():
+        if fb in dual[fa]:
+            return None  # two cycles share two edges
+        dual[fa][fb] = dual[fb][fa] = edge
+    v_inf = sum(1 for nbrs in adj if len(nbrs) == 4)
+    m = _SphereMap(AbstractPolyhedron(n, cycles), graph, edge_faces, dual,
+                   CombinatorialProfile(v_inf=v_inf, v_f=n - v_inf, e=e, f=f))
     return _canonical_form(m)
 
 

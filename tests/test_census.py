@@ -264,7 +264,12 @@ def test_certify_rejects_graphs_that_are_not_polyhedral():
     two_k4 = [(a + s, b + s) for s in (0, 4) for a in range(4) for b in range(a + 1, 4)]
     # two copies of K4 minus an edge, joined by two edges: planar, 2-connected
     dumbbell = [e for e in two_k4 if e not in ((0, 1), (4, 5))] + [(0, 4), (1, 5)]
-    for n, edges in [(6, k33), (8, two_k4), (8, dumbbell)]:
+    # cubic, 3-connected and nonplanar: 22 peripheral cycles against E - V + 2 = 7
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] \
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    sizes = Counter(map(len, census._peripheral_cycles(dict(enumerate(adjacency(10, petersen))))))
+    assert sizes == {5: 12, 6: 10}
+    for n, edges in [(6, k33), (8, two_k4), (8, dumbbell), (10, petersen)]:
         adj = adjacency(n, edges)
         assert census._certify(adj) is None
         assert _networkx_certify(adj) is None
@@ -284,7 +289,8 @@ def test_certify_rejects_faces_that_miss_an_edge(monkeypatch):
     assert census._certify(adj) == canonical_form(cube)
     adj[0].add(6)  # vertex 6 is opposite vertex 0
     adj[6].add(0)
-    monkeypatch.setattr(census, "_peripheral_cycles", lambda graph: list(cube.faces))
+    monkeypatch.setattr(census, "_peripheral_cycles",
+                        lambda graph, limit=None: list(cube.faces))
     assert census._certify(adj) is None
 
 

@@ -249,6 +249,12 @@ def test_andreev_examples():
     assert not tet.passed and tet.condition == 1
     assert tet.witness == 4
 
+    # five faces and no prismatic circuit: pins condition 1 at five faces
+    pyramid = AbstractPolyhedron(5, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4), (0, 3, 2, 1)])
+    square = andreev_check(pyramid)
+    assert not square.passed and square.condition == 1
+    assert square.witness == 5
+
 
 def test_andreev_condition3_reading():
     default = andreev_check(catalog.p32())
@@ -273,6 +279,13 @@ def test_lemma_rem_check():
 
     cube = lemma_rem_check(catalog.cube())
     assert not cube.passed and len(cube.face) == 4
+
+    # the apex is the one degree-4 vertex: each triangle has exactly one ideal
+    # vertex, one short of the lemma, and the triangles come before the base
+    pyramid = AbstractPolyhedron(5, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4), (0, 3, 2, 1)])
+    square = lemma_rem_check(pyramid)
+    assert not square.passed
+    assert len(square.face) == 3 and square.ideal_count == 1
 
 
 def test_dual_graph():
