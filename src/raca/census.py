@@ -10,6 +10,7 @@ attained exactly once.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -117,8 +118,10 @@ class TheoremReport:
     condition3_reading: str
 
     def to_dict(self) -> dict:
+        # NaN when no type was priced, which JSON cannot carry
+        minimal = None if math.isnan(self.minimal_volume) else self.minimal_volume
         return {
-            "minimal_volume": self.minimal_volume,
+            "minimal_volume": minimal,
             "witness": self.witness,
             "uniqueness": self.uniqueness,
             "verified": self.verified,

@@ -27,3 +27,13 @@ def test_golden_output(case, capsys, monkeypatch):
     assert code == case["exit"]
     assert out == _golden(case["name"], "stdout")
     assert err == _golden(case["name"], "stderr")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if "--json" in case["argv"]],
+                         ids=lambda case: case["name"])
+def test_golden_json_is_strict(case):
+    json.loads(_golden(case["name"], "stdout"), parse_constant=_reject_constant)
