@@ -1,8 +1,11 @@
 """Census of small right-angled combinatorial types and theorem verification.
 
-The census enumerates, for a candidate vertex count pair (V_ideal, V_finite),
-every abstract polyhedron with exactly that many degree-4 and degree-3
-vertices up to isomorphism, then filters by the realizability conditions.
+The census completes, for a candidate vertex count pair (V_ideal, V_finite),
+every graph with exactly that many degree-4 and degree-3 vertices.  A
+completed graph that is a sphere type is tested against Andreev's
+realizability conditions on its own map first, and only the types that pass
+are given canonical certificates, rebuilt from them and filtered under the
+requested reading of condition 3.
 On top of the census sits the end-to-end verification that Catalan's
 constant is the minimal volume of a right-angled hyperbolic polyhedron,
 attained exactly once.
@@ -258,8 +261,8 @@ def _peripheral_cycles(adj, limit=None):
     return found
 
 
-def _certify(adj):
-    """Certificate of the completed graph if it is a sphere type, else None.
+def _leaf_map(adj):
+    """Sphere map of the completed graph if it is a sphere type, else None.
 
     Lemma.  Let G be a simple graph with every degree 3 or 4, with exactly
     F = E - V + 2 peripheral cycles, every edge on exactly two of them, and
@@ -295,14 +298,13 @@ def _certify(adj):
     The shared-edge check matters only where two cycles share both edges at
     a degree-4 vertex, whose link is then two 2-cycles; otherwise the proof
     goes through without it, and faces of a 3-connected plane graph share
-    at most one edge.  No graph tried so far reaches it.  `_sphere_types`
-    still passes each distinct certificate through `_sphere_map` and the
-    certificate round trip.
+    at most one edge.  No graph tried so far reaches it.
     """
     n = len(adj)
-    if any(len(nbrs) not in (3, 4) for nbrs in adj):
+    degrees = [len(nbrs) for nbrs in adj]
+    if not set(degrees) <= {3, 4}:
         return None
-    e = sum(len(nbrs) for nbrs in adj) // 2
+    e = sum(degrees) // 2
     f = e - n + 2
     graph = dict(enumerate(adj))
     cycles = _peripheral_cycles(graph, f)
@@ -319,16 +321,35 @@ def _certify(adj):
         if fb in dual[fa]:
             return None  # two cycles share two edges
         dual[fa][fb] = dual[fb][fa] = edge
-    v_inf = sum(1 for nbrs in adj if len(nbrs) == 4)
-    m = _SphereMap(AbstractPolyhedron(n, cycles), graph, edge_faces, dual,
-                   CombinatorialProfile(v_inf=v_inf, v_f=n - v_inf, e=e, f=f))
+    v_inf = degrees.count(4)
+    return _SphereMap(AbstractPolyhedron(n, cycles), graph, edge_faces, dual,
+                      CombinatorialProfile(v_inf=v_inf, v_f=n - v_inf, e=e, f=f))
+
+
+def _certify(adj):
+    """Certificate of the completed graph if it is a sphere type that passes
+    Andreev's conditions under some reading of condition 3, else None.
+
+    The conditions read only the face lattice, which the leaf's map shares
+    with the map rebuilt from its certificate, so testing them first drops
+    no realizable type, and only leaves that pass pay for `_canonical_form`
+    (5 of the 354 sphere-type leaves of the candidate region).
+    `distinct_edges` tests every face triple that `disjoint_endpoints`
+    tests, so a leaf that passes under either reading passes under
+    `disjoint_endpoints`, the one reading tried here.
+    """
+    m = _leaf_map(adj)
+    if m is None or not _andreev(m, READING_DISJOINT).passed:
+        return None
     return _canonical_form(m)
 
 
-def _extend(degrees, adj, i, reverse, out):
+def _extend(degrees, adj, i, reverse, certify, out):
+    """Wire vertices i, i+1, ... and add `certify(adj)` of each completed
+    graph to `out` unless it is None."""
     n = len(degrees)
     if i == n:
-        cert = _certify(adj)
+        cert = certify(adj)
         if cert is not None:
             out.add(cert)
         return
@@ -343,7 +364,7 @@ def _extend(degrees, adj, i, reverse, out):
             adj[i].add(j)
             adj[j].add(i)
         if _feasible(degrees, adj, i):
-            _extend(degrees, adj, i + 1, reverse, out)
+            _extend(degrees, adj, i + 1, reverse, certify, out)
         for j in combo:
             adj[i].remove(j)
             adj[j].remove(i)
@@ -390,15 +411,18 @@ def _type_volume(cert: str, pair: CandidatePair):
 
 
 @lru_cache(maxsize=None)
-def _sphere_types(vi, vf, reverse):
-    """Every sphere type of the degree sequence, as sorted (certificate, map).
+def _andreev_types(vi, vf, reverse):
+    """The degree sequence's sphere types that pass Andreev's conditions
+    under some reading, as sorted (certificate, map rebuilt from it).
 
     Nothing here depends on the reading of condition 3, so both readings
-    share one run of the backtracker.
+    share one run of the backtracker.  Each type is rebuilt through
+    `_sphere_map` and the certificate round trip, and must satisfy the
+    three census invariants.
     """
     degrees = (4,) * vi + (3,) * vf
     certs = set()
-    _extend(degrees, [set() for _ in degrees], 0, reverse, certs)
+    _extend(degrees, [set() for _ in degrees], 0, reverse, _certify, certs)
 
     types = []
     for cert in sorted(certs):
@@ -419,10 +443,13 @@ def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
                     reverse_branching: bool = False, workers=None) -> CensusRecord:
     """All realizable combinatorial types for a candidate pair.
 
-    Enumerates every abstract polyhedron with exactly pair.v_inf degree-4
-    and pair.v_f degree-3 vertices up to isomorphism (reflections included),
-    keeps those passing andreev_check, and returns sorted certificates.
-    The result is independent of branching order.
+    Completes every graph with exactly pair.v_inf degree-4 and pair.v_f
+    degree-3 vertices, up to the backtracker's symmetry pruning, and
+    certifies (up to isomorphism, reflections included) the sphere types
+    that pass Andreev's conditions under some reading.  Each such type is
+    tested again under `condition3_reading` on the map rebuilt from its
+    certificate; the survivors come back as sorted certificates.  The
+    result is independent of branching order.
     """
     if not isinstance(pair, CandidatePair):
         pair = CandidatePair(*pair)
@@ -431,7 +458,7 @@ def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
     _check_workers(workers)
 
     survivors = []
-    for cert, m in _sphere_types(pair.v_inf, pair.v_f, bool(reverse_branching)):
+    for cert, m in _andreev_types(pair.v_inf, pair.v_f, bool(reverse_branching)):
         if not _andreev(m, condition3_reading).passed:
             continue
         if not _lemma_rem(m).passed:

@@ -19,7 +19,7 @@ from raca.census import (
     candidate_pairs,
     enumerate_types,
     verify_minimality,
-    _sphere_types,
+    _andreev_types,
 )
 from raca.lobachevsky import (
     catalan_constant,
@@ -107,7 +107,7 @@ def test_criterion_05_candidate_region():
 
 
 def test_criterion_06_census_counts():
-    _sphere_types.cache_clear()
+    _andreev_types.cache_clear()
     start = time.monotonic()
     records = {(p.v_inf, p.v_f): enumerate_types(p) for p in candidate_pairs()}
     elapsed = time.monotonic() - start

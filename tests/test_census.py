@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from raca import catalog, census
+from raca import catalog, census, polyhedra
 from raca.census import (
     CandidatePair,
     candidate_pairs,
@@ -17,10 +17,14 @@ from raca.census import (
 from raca.errors import DomainError, PolyhedronError
 from raca.lobachevsky import catalan_constant
 from raca.polyhedra import (
+    READING_DISJOINT,
     READING_DISTINCT,
     AbstractPolyhedron,
+    LemmaResult,
+    _andreev,
     _canonical_form,
     _connected,
+    _face_statistics,
     _map_from_certificate,
     _oriented_faces,
     _rotation_system,
@@ -32,9 +36,23 @@ from raca.polyhedra import (
     polyhedron_from_certificate,
     validate,
 )
-from raca.volumes import antiprism_volume
+from raca.volumes import VolumeReport, antiprism_volume
 
 G = catalan_constant().value
+
+
+def _leaf_certificate(adj):
+    """The ungated leaf certificate: any sphere type, realizable or not."""
+    m = census._leaf_map(adj)
+    return None if m is None else _canonical_form(m)
+
+
+def _sphere_type_certificates(vi, vf):
+    """Every sphere type of the pair, sorted: `_extend` with the ungated certificate."""
+    degrees = (4,) * vi + (3,) * vf
+    certs = set()
+    census._extend(degrees, [set() for _ in degrees], 0, False, _leaf_certificate, certs)
+    return sorted(certs)
 
 
 def test_candidate_pairs_exact():
@@ -189,8 +207,8 @@ def test_distinct_edges_reading_passes_no_polyhedron():
     # across them contain, so a polyhedron past conditions 4 and 1 fails 3
     shapes = [make() for make in catalog.NAMED.values()]
     shapes += [catalog.lobell(n) for n in range(5, 9)]
-    types = [m.poly for pair in candidate_pairs()
-             for _, m in census._sphere_types(pair.v_inf, pair.v_f, False)]
+    types = [polyhedron_from_certificate(cert) for pair in candidate_pairs()
+             for cert in _sphere_type_certificates(pair.v_inf, pair.v_f)]
     conditions = []
     for p in shapes + types:
         default = andreev_check(p)
@@ -234,20 +252,18 @@ def _networkx_certify(adj):
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_certify_matches_networkx_on_every_leaf(monkeypatch, reverse):
-    certify = census._certify
+def test_certify_matches_networkx_on_every_leaf(reverse):
     outcomes = []
 
     def both(adj):
-        got = certify(adj)
+        got = _leaf_certificate(adj)
         outcomes.append(got is not None)
         assert got == _networkx_certify(adj), [sorted(a) for a in adj]
         return got
 
-    monkeypatch.setattr(census, "_certify", both)
     for pair in candidate_pairs():
         degrees = (4,) * pair.v_inf + (3,) * pair.v_f
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, set())
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, both, set())
     # the leaf and certificate counts of the funnel, summed over the pairs
     assert (len(outcomes), sum(outcomes)) == (1433, 354)
 
@@ -271,11 +287,13 @@ def test_certify_rejects_graphs_that_are_not_polyhedral():
     assert sizes == {5: 12, 6: 10}
     for n, edges in [(6, k33), (8, two_k4), (8, dumbbell), (10, petersen)]:
         adj = adjacency(n, edges)
+        assert census._leaf_map(adj) is None
         assert census._certify(adj) is None
         assert _networkx_certify(adj) is None
     prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     adj = adjacency(6, prism)
-    assert census._certify(adj) == canonical_form(catalog.triangular_prism())
+    assert _leaf_certificate(adj) == canonical_form(catalog.triangular_prism())
+    assert census._certify(adj) is None  # a sphere type, but five faces fail condition 1
 
 
 def test_certify_rejects_faces_that_miss_an_edge(monkeypatch):
@@ -286,12 +304,12 @@ def test_certify_rejects_faces_that_miss_an_edge(monkeypatch):
         for a, b in zip(face, face[1:] + face[:1]):
             adj[a].add(b)
             adj[b].add(a)
-    assert census._certify(adj) == canonical_form(cube)
+    assert _leaf_certificate(adj) == canonical_form(cube)
     adj[0].add(6)  # vertex 6 is opposite vertex 0
     adj[6].add(0)
     monkeypatch.setattr(census, "_peripheral_cycles",
                         lambda graph, limit=None: list(cube.faces))
-    assert census._certify(adj) is None
+    assert census._leaf_map(adj) is None
 
 
 def _count_vectors(sizes, need):
@@ -360,12 +378,12 @@ def test_backtracker_reproduces_published_counts(degree, counts, reverse):
     for n, expected in counts.items():
         degrees = (degree,) * n
         certs = set()
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, certs)
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, _leaf_certificate, certs)
         assert len(certs) == expected, n
 
 
 def test_both_readings_share_one_backtrack(monkeypatch):
-    census._sphere_types.cache_clear()
+    census._andreev_types.cache_clear()
     certify = census._certify
     leaves = []
 
@@ -377,6 +395,139 @@ def test_both_readings_share_one_backtrack(monkeypatch):
     assert verify_minimality().verified
     assert not verify_minimality(condition3_reading=READING_DISTINCT).verified
     assert len(leaves) == 1433  # one reading's worth, not 2866
+
+
+def test_every_sphere_type_round_trips_with_the_census_invariants():
+    types = 0
+    for pair in candidate_pairs():
+        vi, vf = pair.v_inf, pair.v_f
+        for cert in _sphere_type_certificates(vi, vf):
+            m = _map_from_certificate(cert)
+            stats = _face_statistics(m)
+            assert (m.profile.v_inf, m.profile.v_f) == (vi, vf)
+            assert m.profile.f == vi + vf // 2 + 2
+            assert (stats.w, stats.wi) == (4 * vi + 3 * vf, 4 * vi)
+            types += 1
+    assert types == 80
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_leaf_andreev_matches_the_round_trip(reverse):
+    # the census gate reads the leaf's own map, the verdict the rebuilt one
+    rebuilt = {}
+    leaves = []
+
+    def check(adj):
+        m = census._leaf_map(adj)
+        if m is None:
+            return None
+        cert = _canonical_form(m)
+        if cert not in rebuilt:
+            rebuilt[cert] = _map_from_certificate(cert)
+        passed = [_andreev(m, reading).passed for reading in (READING_DISJOINT, READING_DISTINCT)]
+        assert passed == [_andreev(rebuilt[cert], reading).passed
+                          for reading in (READING_DISJOINT, READING_DISTINCT)]
+        assert census._certify(adj) == (cert if any(passed) else None)
+        leaves.append(any(passed))
+        return cert
+
+    for pair in candidate_pairs():
+        degrees = (4,) * pair.v_inf + (3,) * pair.v_f
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, check, set())
+    assert (len(leaves), len(rebuilt)) == (354, 80)
+    assert 0 < sum(leaves) < len(leaves)
+
+
+def _counted(function, calls, key):
+    def counted(*args):
+        calls[key] += 1
+        return function(*args)
+    return counted
+
+
+def test_census_canonicalizes_only_leaves_that_pass_andreev(monkeypatch):
+    census._andreev_types.cache_clear()
+    census._closed_form_names.cache_clear()
+    calls = Counter()
+    leaf_map = census._leaf_map
+
+    def counted_leaf_map(adj):
+        m = leaf_map(adj)
+        calls["leaves"] += 1
+        calls["leaf maps"] += m is not None
+        return m
+
+    monkeypatch.setattr(census, "_leaf_map", counted_leaf_map)
+    for module, name, key in [(census, "_canonical_form", "leaf certificates"),
+                              (census, "_map_from_certificate", "round trips"),
+                              (polyhedra, "_canonical_form", "other certificates"),
+                              (polyhedra, "_sphere_map", "_sphere_map")]:
+        monkeypatch.setattr(module, name, _counted(getattr(module, name), calls, key))
+    assert verify_minimality().verified
+    # 7 other certificates: 3 round trips, 3 closed-form names, 1 witness
+    assert calls == {"leaves": 1433, "leaf maps": 354, "leaf certificates": 5,
+                     "round trips": 3, "other certificates": 7, "_sphere_map": 7}
+
+
+@pytest.mark.parametrize("name,stub,failure", [
+    ("v_oct", catalan_constant, "ideal branch: octahedron volume does not exceed G"),
+    ("lobell_volume", lambda n: catalan_constant(),
+     "compact branch: Lobell(5) volume does not exceed G"),
+    ("mixed_lower_bound", lambda vi, vf: G, "one-ideal branch: 14G/8 bound does not exceed G"),
+], ids=["ideal", "compact", "one-ideal"])
+def test_verify_minimality_fails_a_branch_bound_equal_to_g(monkeypatch, name, stub, failure):
+    monkeypatch.setattr(census, name, stub)
+    report = verify_minimality()
+    assert report.verified is False
+    assert report.failures == (failure,)
+
+
+P32, P28, P34 = (canonical_form(make()) for make in (catalog.p32, catalog.p28, catalog.p34))
+
+
+@pytest.mark.parametrize("prices,failure", [
+    ({P32: G, P28: 2 * G, P34: G + 1e-6}, None),  # a near tie is still unique
+    ({P32: G, P28: 2 * G, P34: G}, "minimal volume attained by more than one type"),
+    ({P32: G + 1e-6, P28: 2 * G, P34: 2 * G},
+     f"minimal volume {G + 1e-6!r} does not match Catalan's constant"),
+    ({P32: 2 * G, P28: G, P34: 2 * G}, "minimal type is not the triangular bipyramid"),
+], ids=["near-tie", "tie", "not-g", "witness"])
+def test_verify_minimality_checks_the_minimum(monkeypatch, prices, failure):
+    def priced(cert, pair):
+        return VolumeReport(value=prices[cert], formula="stub", abs_error_bound=0.0), True
+
+    monkeypatch.setattr(census, "_type_volume", priced)
+    report = verify_minimality()
+    assert report.failures == (() if failure is None else (failure,))
+    assert report.verified is (failure is None)
+    assert report.uniqueness is (failure != "minimal volume attained by more than one type")
+
+
+def test_verify_minimality_fails_a_type_without_a_closed_form(monkeypatch):
+    type_volume = census._type_volume
+    monkeypatch.setattr(census, "_type_volume",
+                        lambda cert, pair: (type_volume(cert, pair)[0], False))
+    report = verify_minimality()
+    assert report.verified is False
+    assert report.failures == tuple(
+        f"census ({vi},{vf}): type without a closed form, only bounded below by {value:.6f}"
+        for vi, vf, value in [(2, 8, 2 * G), (3, 2, G), (3, 4, antiprism_volume(4).value / 4)])
+
+
+def test_verify_minimality_fails_the_census_face_lemma(monkeypatch):
+    monkeypatch.setattr(census, "_lemma_rem", lambda m: LemmaResult(False, m.poly.faces[0], 0))
+    report = verify_minimality()
+    assert report.verified is False
+    assert report.failures == (
+        f"census (2,8) failed: census invariant violated: "
+        f"realizable type fails the face lemma: {P28}",
+        f"census (3,2) failed: census invariant violated: "
+        f"realizable type fails the face lemma: {P32}",
+        f"census (3,4) failed: census invariant violated: "
+        f"realizable type fails the face lemma: {P34}",
+        "census produced no realizable types at all")
+    assert math.isnan(report.minimal_volume)
+    assert report.to_dict()["minimal_volume"] is None
 
 
 def _reference_bfs_code(n, rotation, start):
@@ -471,20 +622,18 @@ def _reference_certify(adj):
     *[(3,) * n for n in (4, 6, 8, 10, 12)],
     *[(4,) * n for n in (6, 7, 8, 9, 10)],
 ], ids=lambda d: f"{d.count(4)}-{d.count(3)}")
-def test_leaf_check_matches_the_references(monkeypatch, degrees, reverse):
-    certify = census._certify
+def test_leaf_check_matches_the_references(degrees, reverse):
     leaves = []
 
     def both(adj):
         graph = dict(enumerate(adj))
         assert census._peripheral_cycles(graph) == _reference_peripheral_cycles(graph)
-        got = certify(adj)
+        got = _leaf_certificate(adj)
         assert got == _reference_certify(adj), [sorted(a) for a in adj]
         leaves.append(got is not None)
         return got
 
-    monkeypatch.setattr(census, "_certify", both)
-    census._extend(degrees, [set() for _ in degrees], 0, reverse, set())
+    census._extend(degrees, [set() for _ in degrees], 0, reverse, both, set())
     assert leaves
 
 
@@ -520,7 +669,7 @@ def test_canonical_form_matches_the_full_search():
 
 
 def _labelled_polyhedral_graphs(degrees):
-    """Graphs on 0..n-1 with these degrees that `_certify` accepts, each once.
+    """Graphs on 0..n-1 with these degrees that `_leaf_map` accepts, each once.
 
     Vertex i takes every set of higher neighbours with room left: no
     symmetry pruning and no dedup, unlike `census._extend`.
@@ -532,7 +681,7 @@ def _labelled_polyhedral_graphs(degrees):
     def rec(i):
         nonlocal count
         if i == n:
-            count += census._certify(adj) is not None
+            count += census._leaf_map(adj) is not None
             return
         room = [j for j in range(i + 1, n) if len(adj[j]) < degrees[j]]
         for combo in combinations(room, degrees[i] - len(adj[i])):
@@ -556,7 +705,7 @@ def test_census_types_satisfy_the_mass_formula(vi, vf, labelled):
     # with the degree-4 vertices first
     relabelings = math.factorial(vi) * math.factorial(vf)
     mass = 0
-    for cert, m in census._sphere_types(vi, vf, False):
+    for cert in _sphere_type_certificates(vi, vf):
         _, automorphisms = _reference_search(_map_from_certificate(cert))
         assert relabelings % automorphisms == 0
         mass += relabelings // automorphisms
