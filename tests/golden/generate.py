@@ -1,11 +1,14 @@
-"""Write the golden outputs of `verify-theorem` and `census enumerate`.
+"""Write the golden outputs of the census and polyhedron-check commands.
 
-Each case runs `raca.cli.main` in-process with COLUMNS=80 and records its
-exit code (in cases.json), stdout (<name>.stdout) and stderr
-(<name>.stderr).  The cases cover plain and --json output under both
-readings of condition 3, for the theorem and for the five pairs of the
-candidate region.  tests/test_golden.py replays them.  From the
-repository root:
+Each case runs `raca.cli.main` in-process with COLUMNS=80, from this
+directory, and records its exit code (in cases.json), stdout
+(<name>.stdout) and stderr (<name>.stderr).  The cases cover plain and
+--json output of `verify-theorem` and `census enumerate` (the five pairs
+of the candidate region) under both readings of condition 3, and of
+`check stats` and `check andreev` (both readings) on the polyhedron files
+in inputs/: catalog shapes, Lobell(12), Antiprism(16) and one input per
+validation error code, also written here.  tests/test_golden.py replays
+them.  From the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
 """
@@ -16,23 +19,61 @@ import json
 import os
 import pathlib
 
+from raca import catalog
 from raca.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
 READINGS = ("disjoint_endpoints", "distinct_edges")
 PAIRS = ((2, 4), (2, 6), (2, 8), (3, 2), (3, 4))
+FORMS = (("plain", []), ("json", ["--json"]))
+
+# one input per validation error code, in the order the checks run
+REJECTS = {
+    "bad_index": (4, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 9)]),
+    "bad_face": (4, [(0, 1), (0, 3, 1), (1, 3, 2), (2, 3, 0)]),
+    "edge_face_count": (5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+    "multi_adjacent_faces": (4, [(0, 1, 2, 3), (1, 0, 3, 2)]),
+    "disconnected": (8, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0),
+                         (4, 5, 6), (4, 7, 5), (5, 7, 6), (6, 7, 4)]),
+    "not_3_connected": (7, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0),
+                            (0, 4, 5), (0, 6, 4), (4, 6, 5), (5, 6, 0)]),
+    "bad_degree": (7, [(0, 1, 5), (1, 0, 6), (1, 2, 5), (2, 1, 6), (2, 3, 5),
+                       (3, 2, 6), (3, 4, 5), (4, 3, 6), (4, 0, 5), (0, 4, 6)]),
+    "euler": (9, [(0, 1, 4, 3), (1, 2, 5, 4), (2, 0, 3, 5),
+                  (3, 4, 7, 6), (4, 5, 8, 7), (5, 3, 6, 8),
+                  (6, 7, 1, 0), (7, 8, 2, 1), (8, 6, 0, 2)]),
+}
+
+
+def inputs():
+    """File name (without .json) -> polyhedron dict of every check input."""
+    shapes = {name: catalog.NAMED[name]()
+              for name in ("P32", "P28", "P34", "cube", "dodecahedron", "octahedron")}
+    shapes["lobell12"] = catalog.lobell(12)
+    shapes["antiprism16"] = catalog.antiprism(16)
+    found = {name: p.to_dict() for name, p in shapes.items()}
+    for code, (n, faces) in REJECTS.items():
+        found[f"reject_{code}"] = {"vertex_count": n, "faces": [list(f) for f in faces]}
+    return found
 
 
 def cases():
-    """(name, argv) of every golden command line."""
+    """(name, argv) of every golden command line, paths relative to HERE."""
     for reading in READINGS:
-        for form, extra in (("plain", []), ("json", ["--json"])):
+        for form, extra in FORMS:
             flags = ["--condition3-reading", reading, *extra]
             yield f"verify-theorem_{reading}_{form}", ["verify-theorem", *flags]
             for vi, vf in PAIRS:
                 yield (f"census-enumerate_{vi}_{vf}_{reading}_{form}",
                        ["census", "enumerate", "--videal", str(vi),
                         "--vfinite", str(vf), *flags])
+    for name in inputs():
+        path = f"inputs/{name}.json"
+        for form, extra in FORMS:
+            yield f"check-stats_{name}_{form}", ["check", "stats", path, *extra]
+            for reading in READINGS:
+                yield (f"check-andreev_{name}_{reading}_{form}",
+                       ["check", "andreev", path, "--condition3-reading", reading, *extra])
 
 
 def run(argv):
@@ -45,6 +86,10 @@ def run(argv):
 
 def write():
     os.environ["COLUMNS"] = "80"
+    os.chdir(HERE)
+    (HERE / "inputs").mkdir(exist_ok=True)
+    for name, payload in inputs().items():
+        (HERE / "inputs" / f"{name}.json").write_text(json.dumps(payload) + "\n")
     manifest = []
     for name, argv in cases():
         code, out, err = run(argv)
