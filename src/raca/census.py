@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,16 +23,15 @@ from .errors import DomainError, RacaError
 from .lobachevsky import catalan_constant, v_oct
 from .polyhedra import (
     READING_DISJOINT,
-    READING_DISTINCT,
     AbstractPolyhedron,
-    CombinatorialProfile,
     _andreev,
     _canonical_form,
-    _face_edges,
+    _check_reading,
+    _edge_faces,
     _face_statistics,
     _lemma_rem,
     _map_from_certificate,
-    _SphereMap,
+    _new_map,
     canonical_form,
 )
 from .volumes import VolumeReport, lobell_volume, mixed_lower_bound, named_volume
@@ -293,12 +291,14 @@ def _leaf_map(adj):
     peripheral cycles of a 3-connected planar graph are its faces, each
     edge lies on two of them, and two faces share at most one edge.  So a
     leaf is a sphere type exactly when the three checks pass, and the map
-    is built from the cycles without `_sphere_map`.  The walk stops early
-    on a count above F or an edge on a third cycle; either fails a check.
-    The shared-edge check matters only where two cycles share both edges at
-    a degree-4 vertex, whose link is then two 2-cycles; otherwise the proof
-    goes through without it, and faces of a 3-connected plane graph share
-    at most one edge.  No graph tried so far reaches it.
+    is built from the cycles by `polyhedra._new_map` without `_sphere_map`.
+    The walk stops early on a count above F or an edge on a third cycle;
+    either fails a check.  Two cycles sharing two edges show as a dual with
+    fewer than 2E entries.  That check matters only where two cycles share
+    both edges at a degree-4 vertex, whose link is then two 2-cycles;
+    otherwise the proof goes through without it, and faces of a 3-connected
+    plane graph share at most one edge.  No graph tried so far reaches it.
+    The map keeps the degrees, not `adj`, which the backtracker mutates.
     """
     n = len(adj)
     degrees = [len(nbrs) for nbrs in adj]
@@ -306,24 +306,13 @@ def _leaf_map(adj):
         return None
     e = sum(degrees) // 2
     f = e - n + 2
-    graph = dict(enumerate(adj))
-    cycles = _peripheral_cycles(graph, f)
+    cycles = _peripheral_cycles(dict(enumerate(adj)), f)
     # no edge is on a third cycle, so the lengths sum to 2E exactly when
     # every edge is on two
     if cycles is None or len(cycles) != f or sum(map(len, cycles)) != 2 * e:
         return None
-    edge_faces = defaultdict(list)
-    for fi, face in enumerate(cycles):
-        for edge in _face_edges(face):
-            edge_faces[edge].append(fi)
-    dual = [{} for _ in range(f)]
-    for edge, (fa, fb) in edge_faces.items():
-        if fb in dual[fa]:
-            return None  # two cycles share two edges
-        dual[fa][fb] = dual[fb][fa] = edge
-    v_inf = degrees.count(4)
-    return _SphereMap(AbstractPolyhedron(n, cycles), graph, edge_faces, dual,
-                      CombinatorialProfile(v_inf=v_inf, v_f=n - v_inf, e=e, f=f))
+    m = _new_map(AbstractPolyhedron(n, cycles), degrees, _edge_faces(cycles))
+    return m if sum(map(len, m.dual)) == 2 * e else None
 
 
 def _certify(adj):
@@ -453,8 +442,7 @@ def enumerate_types(pair, *, condition3_reading: str = READING_DISJOINT,
     """
     if not isinstance(pair, CandidatePair):
         pair = CandidatePair(*pair)
-    if condition3_reading not in (READING_DISJOINT, READING_DISTINCT):
-        raise DomainError(f"unknown condition3 reading {condition3_reading!r}")
+    _check_reading(condition3_reading)
     _check_workers(workers)
 
     survivors = []
@@ -487,43 +475,35 @@ def verify_minimality(*, condition3_reading: str = READING_DISJOINT,
     Walks the case split: polyhedra that are all-ideal, compact, or have a
     single ideal vertex are bounded below away from G; the remaining shapes
     fall into finitely many vertex-count pairs, each of which is censused
-    exhaustively and has its realizable types priced by closed forms.  Any
-    inconsistency is reported in `failures`, never silently absorbed.
+    exhaustively and has its realizable types priced by closed forms.  The
+    reading and `workers` (with RACA_THREADS) are checked before any work,
+    and a bad one raises DomainError.  Each imported bound is one row of the
+    table below, with its log entry and the failure it gives unless it
+    exceeds G.  Any inconsistency is reported in `failures`, never silently
+    absorbed.
     """
+    _check_reading(condition3_reading)
+    _check_workers(workers)
     g_val = catalan_constant().value
-    log = []
-    failures = []
-
-    ideal_bound = v_oct().value
-    log.append({
-        "case": "all vertices ideal",
-        "lower_bound": ideal_bound,
-        "statement": "volume >= vol(ideal octahedron) = 8*L(pi/4) = 4G",
-    })
-    if not ideal_bound > g_val:
-        failures.append("ideal branch: octahedron volume does not exceed G")
-
-    compact_bound = lobell_volume(5).value
-    log.append({
-        "case": "no ideal vertices",
-        "lower_bound": compact_bound,
-        "statement": "volume >= vol(Lobell(5))",
-    })
-    if not compact_bound > g_val:
-        failures.append("compact branch: Lobell(5) volume does not exceed G")
-
     vf_min = 2 * (MIN_FACES_ONE_IDEAL - 3)  # F = V_finite/2 + 3 when V_ideal = 1
-    one_ideal_bound = mixed_lower_bound(1, vf_min)
-    log.append({
-        "case": "one ideal vertex",
-        "min_faces": MIN_FACES_ONE_IDEAL,
-        "min_finite_vertices": vf_min,
-        "lower_bound": one_ideal_bound,
-        "statement": "volume >= (4*1 + V_finite - 8)*G/8 >= 14G/8",
-        "source": MIN_FACES_ONE_IDEAL_SOURCE,
-    })
-    if not one_ideal_bound > g_val:
-        failures.append("one-ideal branch: 14G/8 bound does not exceed G")
+    bounds = [
+        ({"case": "all vertices ideal", "lower_bound": v_oct().value,
+          "statement": "volume >= vol(ideal octahedron) = 8*L(pi/4) = 4G"},
+         "ideal branch: octahedron volume does not exceed G"),
+        ({"case": "no ideal vertices", "lower_bound": lobell_volume(5).value,
+          "statement": "volume >= vol(Lobell(5))"},
+         "compact branch: Lobell(5) volume does not exceed G"),
+        ({"case": "one ideal vertex", "min_faces": MIN_FACES_ONE_IDEAL,
+          "min_finite_vertices": vf_min, "lower_bound": mixed_lower_bound(1, vf_min),
+          "statement": "volume >= (4*1 + V_finite - 8)*G/8 >= 14G/8",
+          "source": MIN_FACES_ONE_IDEAL_SOURCE},
+         "one-ideal branch: 14G/8 bound does not exceed G"),
+    ]
+    log, failures = [], []
+    for entry, failure in bounds:
+        log.append(entry)
+        if not entry["lower_bound"] > g_val:
+            failures.append(failure)
 
     pairs = candidate_pairs()
     log.append({
@@ -574,7 +554,7 @@ def verify_minimality(*, condition3_reading: str = READING_DISJOINT,
         if abs(minimal - g_val) > 1e-9:
             failures.append(
                 f"minimal volume {minimal!r} does not match Catalan's constant")
-        if witness != canonical_form(catalog.p32()):
+        if _closed_form_names().get(witness) != "P32":
             failures.append("minimal type is not the triangular bipyramid")
 
     return TheoremReport(

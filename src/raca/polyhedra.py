@@ -123,13 +123,36 @@ def _connected(adj: dict, vertices, removed=frozenset()) -> bool:
 
 @dataclass(frozen=True)
 class _SphereMap:
-    """A polyhedron that passed validation, with the incidences every check reads."""
+    """A sphere map: a polyhedron with the incidences every check reads.  Only
+    `_new_map` builds one, for `_sphere_map` and for `census._leaf_map`."""
 
     poly: AbstractPolyhedron
-    adj: dict         # vertex -> set of neighbouring vertices
-    edge_faces: dict  # primal edge (a, b), a < b -> its two faces [i, j], i < j
-    dual: list        # face -> {neighbouring face: shared primal edge}
+    degrees: tuple  # vertex -> its degree
+    dual: list      # face -> {neighbouring face: shared primal edge}
     profile: CombinatorialProfile
+
+
+def _edge_faces(faces) -> dict:
+    """Primal edge (a, b), a < b -> the faces it lies on, in increasing order."""
+    edge_faces = defaultdict(list)
+    for fi, face in enumerate(faces):
+        for edge in _face_edges(face):
+            edge_faces[edge].append(fi)
+    return edge_faces
+
+
+def _new_map(p: AbstractPolyhedron, degrees, edge_faces) -> _SphereMap:
+    """The map of faces whose every edge lies on exactly two of them.
+
+    Two faces sharing k edges get one dual entry for all k, so the dual
+    holds fewer than 2E entries exactly when some two faces share two edges.
+    """
+    dual = [{} for _ in p.faces]
+    for edge, (fa, fb) in edge_faces.items():
+        dual[fa][fb] = dual[fb][fa] = edge
+    v_inf = degrees.count(4)
+    return _SphereMap(p, tuple(degrees), dual, CombinatorialProfile(
+        v_inf=v_inf, v_f=p.vertex_count - v_inf, e=len(edge_faces), f=len(p.faces)))
 
 
 def _sphere_map(p: AbstractPolyhedron) -> _SphereMap:
@@ -143,10 +166,7 @@ def _sphere_map(p: AbstractPolyhedron) -> _SphereMap:
         if len(face) < 3 or len(set(face)) != len(face):
             raise PolyhedronError(BAD_FACE, f"face {face} needs >= 3 distinct vertices")
 
-    edge_faces = defaultdict(list)
-    for fi, face in enumerate(p.faces):
-        for edge in _face_edges(face):
-            edge_faces[edge].append(fi)
+    edge_faces = _edge_faces(p.faces)
     for edge, fs in edge_faces.items():
         if len(fs) != 2:
             raise PolyhedronError(
@@ -173,22 +193,16 @@ def _sphere_map(p: AbstractPolyhedron) -> _SphereMap:
             raise PolyhedronError(
                 NOT_3_CONNECTED, f"removing vertices {u},{w} disconnects the 1-skeleton")
 
-    for v in range(n):
-        if len(adj[v]) not in (3, 4):
+    degrees = [len(adj[v]) for v in range(n)]
+    for v, degree in enumerate(degrees):
+        if degree not in (3, 4):
             raise PolyhedronError(
-                BAD_DEGREE, f"vertex {v} has degree {len(adj[v])}, expected 3 or 4")
+                BAD_DEGREE, f"vertex {v} has degree {degree}, expected 3 or 4")
 
-    e = len(edge_faces)
-    f = len(p.faces)
-    if n - e + f != 2:
-        raise PolyhedronError(EULER, f"V - E + F = {n - e + f}, expected 2")
-
-    dual = [{} for _ in range(f)]
-    for edge, (fa, fb) in edge_faces.items():
-        dual[fa][fb] = dual[fb][fa] = edge
-    v_inf = sum(1 for v in range(n) if len(adj[v]) == 4)
-    return _SphereMap(p, adj, edge_faces, dual,
-                      CombinatorialProfile(v_inf=v_inf, v_f=n - v_inf, e=e, f=f))
+    chi = n - len(edge_faces) + len(p.faces)
+    if chi != 2:
+        raise PolyhedronError(EULER, f"V - E + F = {chi}, expected 2")
+    return _new_map(p, degrees, edge_faces)
 
 
 def validate(p: AbstractPolyhedron) -> CombinatorialProfile:
@@ -206,7 +220,7 @@ def _face_statistics(m: _SphereMap) -> FaceStatistics:
     faces = m.poly.faces
     sizes = Counter(len(face) for face in faces)
     w = sum(len(face) for face in faces)
-    wi = sum(1 for face in faces for v in face if len(m.adj[v]) == 4)
+    wi = sum(1 for face in faces for v in face if m.degrees[v] == 4)
     return FaceStatistics(p=dict(sizes), w=w, wi=wi)
 
 
@@ -216,8 +230,8 @@ def face_statistics(p: AbstractPolyhedron) -> FaceStatistics:
 
 
 def dual_graph(p: AbstractPolyhedron) -> DualGraph:
-    m = _sphere_map(p)
-    edges = sorted((i, j, edge) for edge, (i, j) in m.edge_faces.items())
+    edges = sorted((i, j, edge) for i, around in enumerate(_sphere_map(p).dual)
+                   for j, edge in around.items() if i < j)
     return DualGraph(face_count=len(p.faces), edges=tuple(edges))
 
 
@@ -259,6 +273,12 @@ def prismatic_circuits(p: AbstractPolyhedron, k: int) -> list:
 
 READING_DISJOINT = "disjoint_endpoints"
 READING_DISTINCT = "distinct_edges"
+
+
+def _check_reading(reading) -> None:
+    """Reject anything but the two readings of condition 3."""
+    if reading not in (READING_DISJOINT, READING_DISTINCT):
+        raise DomainError(f"unknown condition3 reading {reading!r}")
 
 
 def _andreev(m: _SphereMap, reading: str) -> AndreevResult:
@@ -305,14 +325,13 @@ def andreev_check(p: AbstractPolyhedron, condition3_reading: str = READING_DISJO
     face F_j meet at a vertex that the two faces across them both contain,
     so every polyhedron that passes conditions 4 and 1 fails condition 3.
     """
-    if condition3_reading not in (READING_DISJOINT, READING_DISTINCT):
-        raise DomainError(f"unknown condition3 reading {condition3_reading!r}")
+    _check_reading(condition3_reading)
     return _andreev(_sphere_map(p), condition3_reading)
 
 
 def _lemma_rem(m: _SphereMap) -> LemmaResult:
     for face in m.poly.faces:
-        ideal = sum(1 for v in face if len(m.adj[v]) == 4)
+        ideal = sum(1 for v in face if m.degrees[v] == 4)
         if len(face) == 3 and ideal < 2:
             return LemmaResult(False, face, ideal)
         if len(face) == 4 and ideal < 1:
@@ -378,8 +397,8 @@ def _canonical_form(m: _SphereMap) -> str:
     n = m.poly.vertex_count
     rotation = _rotation_system(_oriented_faces(m))
     inverse = {v: k for k, v in rotation.items()}
-    low = min(len(m.adj[v]) for v in range(n))
-    darts = sorted(d for d in rotation if len(m.adj[d[0]]) == low)
+    low = min(m.degrees)
+    darts = sorted(d for d in rotation if m.degrees[d[0]] == low)
     best = None
     for rot in (rotation, inverse):  # second pass covers the mirror image
         for start in darts:

@@ -20,6 +20,7 @@ from raca.polyhedra import (
     READING_DISJOINT,
     READING_DISTINCT,
     AbstractPolyhedron,
+    DualGraph,
     LemmaResult,
     _andreev,
     _canonical_form,
@@ -31,6 +32,7 @@ from raca.polyhedra import (
     _sphere_map,
     andreev_check,
     canonical_form,
+    dual_graph,
     face_statistics,
     lemma_rem_check,
     polyhedron_from_certificate,
@@ -193,6 +195,19 @@ def test_verify_minimality():
         14 * G / 8, abs=1e-12)
     census_entries = [e for e in report.branch_log if e["case"].startswith("census")]
     assert len(census_entries) == 5
+
+
+def test_verify_minimality_rejects_bad_input_before_any_work(monkeypatch):
+    # an input error raises, as in enumerate_types, and is no failed theorem
+    census._andreev_types.cache_clear()
+    monkeypatch.setattr(census, "_extend", None)  # the backtracker must not run
+    with pytest.raises(DomainError, match="unknown condition3 reading 'bogus'"):
+        verify_minimality(condition3_reading="bogus")
+    with pytest.raises(DomainError, match="workers must be a positive integer"):
+        verify_minimality(workers=0)
+    monkeypatch.setenv("RACA_THREADS", "many")
+    with pytest.raises(DomainError, match="RACA_THREADS must be an integer, got 'many'"):
+        verify_minimality()
 
 
 def test_verify_minimality_strict_reading_fails_honestly():
@@ -438,6 +453,38 @@ def test_leaf_andreev_matches_the_round_trip(reverse):
     assert 0 < sum(leaves) < len(leaves)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_leaf_map_matches_the_validated_map(reverse):
+    # one builder behind both entry points: the lemma's counts and validate
+    leaves = []
+
+    def check(adj):
+        m = census._leaf_map(adj)
+        if m is None:
+            return None
+        full = _sphere_map(AbstractPolyhedron(len(adj), m.poly.faces))
+        assert (m.degrees, m.dual, m.profile) == (full.degrees, full.dual, full.profile)
+        assert m.degrees == tuple(len(nbrs) for nbrs in adj)
+        leaves.append(m)
+        return None
+
+    for pair in candidate_pairs():
+        degrees = (4,) * pair.v_inf + (3,) * pair.v_f
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, check, set())
+    assert len(leaves) == 354
+
+
+def test_dual_graph_matches_the_edge_face_table():
+    for make in catalog.NAMED.values():
+        p = make()
+        edge_faces = {}
+        for fi, face in enumerate(p.faces):
+            for a, b in zip(face, face[1:] + face[:1]):
+                edge_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
+        expected = sorted((i, j, edge) for edge, (i, j) in edge_faces.items())
+        assert dual_graph(p) == DualGraph(face_count=len(p.faces), edges=tuple(expected))
+
+
 def _counted(function, calls, key):
     def counted(*args):
         calls[key] += 1
@@ -464,9 +511,10 @@ def test_census_canonicalizes_only_leaves_that_pass_andreev(monkeypatch):
                               (polyhedra, "_sphere_map", "_sphere_map")]:
         monkeypatch.setattr(module, name, _counted(getattr(module, name), calls, key))
     assert verify_minimality().verified
-    # 7 other certificates: 3 round trips, 3 closed-form names, 1 witness
+    # 6 other certificates: 3 round trips, 3 closed-form names (the witness
+    # is looked up among the names)
     assert calls == {"leaves": 1433, "leaf maps": 354, "leaf certificates": 5,
-                     "round trips": 3, "other certificates": 7, "_sphere_map": 7}
+                     "round trips": 3, "other certificates": 6, "_sphere_map": 6}
 
 
 @pytest.mark.parametrize("name,stub,failure", [

@@ -252,6 +252,17 @@ def test_verify_theorem(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem"], ["census", "verify-theorem", "--json"],
+    ["census", "enumerate", "--videal", "3", "--vfinite", "2"],
+], ids=["verify-theorem", "census-verify-theorem-json", "census-enumerate"])
+def test_bad_raca_threads_is_an_input_error(capsys, monkeypatch, argv):
+    # the theorem checks its inputs before any work, as the census does
+    monkeypatch.setenv("RACA_THREADS", "many")
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: RACA_THREADS must be an integer, got 'many'\n")
+
+
 def test_arith(capsys, files):
     rc, out = run(capsys, "arith", "check", files["tri463"])
     assert rc == 2
