@@ -1,11 +1,12 @@
 """Census of small right-angled combinatorial types and theorem verification.
 
 The census completes, for a candidate vertex count pair (V_ideal, V_finite),
-every graph with exactly that many degree-4 and degree-3 vertices.  A
-completed graph that is a sphere type is tested against Andreev's
-realizability conditions on its own map first, and only the types that pass
-are given canonical certificates, rebuilt from them and filtered under the
-requested reading of condition 3.
+every graph with exactly that many degree-4 and degree-3 vertices, except
+those that already hold a triangle or quadrilateral bound to be a face that
+fails the face lemma (`_closes_bad_face`).  A completed graph that is a
+sphere type is tested against Andreev's realizability conditions on its own
+map first, and only the types that pass are given canonical certificates,
+rebuilt from them and filtered under the requested reading of condition 3.
 On top of the census sits the end-to-end verification that Catalan's
 constant is the minimal volume of a right-angled hyperbolic polyhedron,
 attained exactly once.
@@ -17,6 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from . import catalog
 from .errors import DomainError, RacaError
@@ -322,7 +324,8 @@ def _certify(adj):
     The conditions read only the face lattice, which the leaf's map shares
     with the map rebuilt from its certificate, so testing them first drops
     no realizable type, and only leaves that pass pay for `_canonical_form`
-    (5 of the 354 sphere-type leaves of the candidate region).
+    (5 of the 354 sphere-type leaves of the candidate region when the search
+    is not pruned; with `_closes_bad_face`, 5 of 5 among 90 leaves).
     `distinct_edges` tests every face triple that `disjoint_endpoints`
     tests, so a leaf that passes under either reading passes under
     `disjoint_endpoints`, the one reading tried here.
@@ -333,9 +336,48 @@ def _certify(adj):
     return _canonical_form(m)
 
 
-def _extend(degrees, adj, i, reverse, certify, out):
+def _closes_bad_face(degrees, adj, i):
+    """True when vertex i, just wired, lies on a triangle with at most one
+    degree-4 vertex or on a 4-cycle of four degree-3 vertices.
+
+    Such a cycle is a face that fails the face lemma in every completion
+    that `_leaf_map` accepts, so `_certify` gives None for each of them.
+    The degrees are the target ones and a completion only adds edges, so
+    the cycle and its degrees are in every completion G.  If G is a sphere
+    type it is 3-connected.  Call deg - 2 the spare edge ends of a cycle
+    vertex.  A component of G minus the cycle that reached at most two of
+    its vertices would be cut off by them, so each component takes at
+    least 3 spare ends: a separating triangle needs 6, and a separating
+    chordless 4-cycle more than 4.  A triangle with at most one degree-4
+    vertex has at most 4, so it is induced and peripheral, a face by Tutte.
+    A 4-cycle abcd of degree-3 vertices has 4: without a chord it is a face
+    in the same way.  With a chord ac, a and c have no other neighbours and
+    b and d one each, so either bd is an edge and G is K4, whose triangles
+    have no degree-4 vertex, or {b, d} cuts {a, c} off and G is not
+    3-connected.  Either face fails `polyhedra._lemma_rem`, so `_andreev`
+    fails under both readings (the derivation is in `_lemma_rem`).  Every
+    edge wired at step i ends at i, so only cycles through i are new.
+    """
+    nbrs = adj[i]
+    for a in nbrs:
+        for b in adj[a] & nbrs:
+            if (degrees[i] == 4) + (degrees[a] == 4) + (degrees[b] == 4) <= 1:
+                return True
+    if degrees[i] == 3:
+        for a, b in combinations([a for a in nbrs if degrees[a] == 3], 2):
+            if any(c != i and degrees[c] == 3 for c in adj[a] & adj[b]):
+                return True
+    return False
+
+
+def _extend(degrees, adj, i, reverse, certify, out, prune=None):
     """Wire vertices i, i+1, ... and add `certify(adj)` of each completed
-    graph to `out` unless it is None."""
+    graph to `out` unless it is None.
+
+    Given a `prune`, a partial graph with `prune(degrees, adj, i)` true
+    after vertex i is wired is not extended.  With no `prune` the search
+    completes every graph, as the published counts and references need.
+    """
     n = len(degrees)
     if i == n:
         cert = certify(adj)
@@ -352,8 +394,8 @@ def _extend(degrees, adj, i, reverse, certify, out):
         for j in combo:
             adj[i].add(j)
             adj[j].add(i)
-        if _feasible(degrees, adj, i):
-            _extend(degrees, adj, i + 1, reverse, certify, out)
+        if _feasible(degrees, adj, i) and not (prune and prune(degrees, adj, i)):
+            _extend(degrees, adj, i + 1, reverse, certify, out, prune)
         for j in combo:
             adj[i].remove(j)
             adj[j].remove(i)
@@ -405,13 +447,16 @@ def _andreev_types(vi, vf, reverse):
     under some reading, as sorted (certificate, map rebuilt from it).
 
     Nothing here depends on the reading of condition 3, so both readings
-    share one run of the backtracker.  Each type is rebuilt through
+    share one run of the backtracker.  The run is pruned by
+    `_closes_bad_face`, which drops only graphs `_certify` rejects: in the
+    candidate region 90 leaves reach `_certify`, not 1,433.  The pair is
+    not checked against the candidate region.  Each type is rebuilt through
     `_sphere_map` and the certificate round trip, and must satisfy the
     three census invariants.
     """
     degrees = (4,) * vi + (3,) * vf
     certs = set()
-    _extend(degrees, [set() for _ in degrees], 0, reverse, _certify, certs)
+    _extend(degrees, [set() for _ in degrees], 0, reverse, _certify, certs, _closes_bad_face)
 
     types = []
     for cert in sorted(certs):

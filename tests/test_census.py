@@ -26,6 +26,7 @@ from raca.polyhedra import (
     _canonical_form,
     _connected,
     _face_statistics,
+    _lemma_rem,
     _map_from_certificate,
     _oriented_faces,
     _rotation_system,
@@ -409,7 +410,53 @@ def test_both_readings_share_one_backtrack(monkeypatch):
     monkeypatch.setattr(census, "_certify", counted)
     assert verify_minimality().verified
     assert not verify_minimality(condition3_reading=READING_DISTINCT).verified
-    assert len(leaves) == 1433  # one reading's worth, not 2866
+    # one reading's worth, not 180: the backtracker drops a partial graph
+    # once it closes a face that fails the face lemma (1,433 leaves unpruned)
+    assert len(leaves) == 90
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_face_prune_drops_no_realizable_type(reverse):
+    found = {}
+    for pair in candidate_pairs():
+        degrees = (4,) * pair.v_inf + (3,) * pair.v_f
+        pruned, full = set(), set()
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, census._certify, full)
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, census._certify, pruned,
+                       census._closes_bad_face)
+        assert pruned == full, (pair, reverse)
+        found[pair.v_inf, pair.v_f] = len(full)
+    assert found == {(2, 4): 0, (2, 6): 0, (2, 8): 1, (3, 2): 1, (3, 4): 1}
+
+
+def test_andreev_implies_the_face_lemma_on_every_sphere_type():
+    # the prune rests on this: a type failing `_lemma_rem` fails `_andreev`
+    verdicts = Counter()
+    for pair in candidate_pairs():
+        for cert in _sphere_type_certificates(pair.v_inf, pair.v_f):
+            m = _map_from_certificate(cert)
+            andreev = any(_andreev(m, reading).passed
+                          for reading in (READING_DISJOINT, READING_DISTINCT))
+            lemma = _lemma_rem(m).passed
+            assert lemma or not andreev, cert
+            verdicts[andreev, lemma] += 1
+    assert verdicts == {(False, False): 77, (True, True): 3}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_one_ideal_vertex_pairs_have_no_andreev_type(reverse):
+    # the one-ideal branch below G without Nonaka's bound: (4 + V_finite - 8)G/8
+    # exceeds G only from V_finite = 14 on
+    for vf in range(2, 13, 2):
+        assert census._andreev_types(1, vf, reverse) == (), vf
+    # not for want of graphs: the unpruned search has sphere types there, none
+    # of which passes Andreev's conditions
+    for vf, types in [(2, 0), (4, 1), (6, 2), (8, 8)]:
+        degrees = (4,) + (3,) * vf
+        assert len(_sphere_type_certificates(1, vf)) == types
+        full = set()
+        census._extend(degrees, [set() for _ in degrees], 0, reverse, census._certify, full)
+        assert full == set(), vf
 
 
 def test_every_sphere_type_round_trips_with_the_census_invariants():
@@ -512,8 +559,9 @@ def test_census_canonicalizes_only_leaves_that_pass_andreev(monkeypatch):
         monkeypatch.setattr(module, name, _counted(getattr(module, name), calls, key))
     assert verify_minimality().verified
     # 6 other certificates: 3 round trips, 3 closed-form names (the witness
-    # is looked up among the names)
-    assert calls == {"leaves": 1433, "leaf maps": 354, "leaf certificates": 5,
+    # is looked up among the names); 90 leaves and 5 leaf maps, not 1,433
+    # and 354, because the search drops graphs with a face failing the lemma
+    assert calls == {"leaves": 90, "leaf maps": 5, "leaf certificates": 5,
                      "round trips": 3, "other certificates": 6, "_sphere_map": 6}
 
 
