@@ -151,14 +151,6 @@ def candidate_pairs() -> list:
 # choice is isomorphic to a prefix choice via a group-internal swap).  The
 # final certificate dedup makes the output independent of this pruning.
 
-def _candidate_groups(i, degrees, adj):
-    groups = {}
-    for j in range(i + 1, len(degrees)):
-        if len(adj[j]) < degrees[j]:
-            groups.setdefault((degrees[j], tuple(sorted(adj[j]))), []).append(j)
-    return list(groups.values())
-
-
 def _prefix_choices(groups, need):
     """Each way to take `need` vertices as a prefix of every group.
 
@@ -349,14 +341,15 @@ def _closes_bad_face(degrees, adj, i):
     its vertices would be cut off by them, so each component takes at
     least 3 spare ends: a separating triangle needs 6, and a separating
     chordless 4-cycle more than 4.  A triangle with at most one degree-4
-    vertex has at most 4, so it is induced and peripheral, a face by Tutte.
-    A 4-cycle abcd of degree-3 vertices has 4: without a chord it is a face
-    in the same way.  With a chord ac, a and c have no other neighbours and
-    b and d one each, so either bd is an edge and G is K4, whose triangles
-    have no degree-4 vertex, or {b, d} cuts {a, c} off and G is not
-    3-connected.  Either face fails `polyhedra._lemma_rem`, so `_andreev`
-    fails under both readings (the derivation is in `_lemma_rem`).  Every
-    edge wired at step i ends at i, so only cycles through i are new.
+    vertex has at most 4, so G minus it is connected: it is peripheral, a
+    face by Tutte.  A 4-cycle abcd of degree-3 vertices has 4: without a
+    chord it is a face in the same way.  With a chord ac, a and c have no
+    other neighbours and b and d one each, so either bd is an edge and G is
+    K4, whose triangles have no degree-4 vertex, or {b, d} cuts {a, c} off
+    and G is not 3-connected.  So G has a face that fails
+    `polyhedra._lemma_rem`, and then `_andreev` fails under both readings
+    (the derivation is in `_lemma_rem`).  Every edge wired at step i ends
+    at i, so only cycles through i are new.
     """
     nbrs = adj[i]
     for a in nbrs:
@@ -364,9 +357,11 @@ def _closes_bad_face(degrees, adj, i):
             if (degrees[i] == 4) + (degrees[a] == 4) + (degrees[b] == 4) <= 1:
                 return True
     if degrees[i] == 3:
-        for a, b in combinations([a for a in nbrs if degrees[a] == 3], 2):
-            if any(c != i and degrees[c] == 3 for c in adj[a] & adj[b]):
-                return True
+        for a, b in combinations(nbrs, 2):
+            if degrees[a] == degrees[b] == 3:
+                for c in adj[a] & adj[b]:
+                    if c != i and degrees[c] == 3:
+                        return True
     return False
 
 
@@ -384,10 +379,14 @@ def _extend(degrees, adj, i, reverse, certify, out, prune=None):
         if cert is not None:
             out.add(cert)
         return
-    # never negative: _candidate_groups offers a vertex only below its degree,
-    # and one step adds at most one edge to it
+    groups = {}
+    for j in range(i + 1, n):
+        if len(adj[j]) < degrees[j]:
+            groups.setdefault((degrees[j], tuple(sorted(adj[j]))), []).append(j)
+    # never negative: a group holds a vertex only below its degree, and one
+    # step adds at most one edge to it
     need = degrees[i] - len(adj[i])
-    choices = list(_prefix_choices(_candidate_groups(i, degrees, adj), need))
+    choices = list(_prefix_choices(list(groups.values()), need))
     if reverse:
         choices.reverse()
     for combo in choices:

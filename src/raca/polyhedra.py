@@ -336,28 +336,31 @@ def _lemma_rem(m: _SphereMap) -> LemmaResult:
     A map that passes `_andreev` under either reading passes the lemma.
     A triple that `disjoint_endpoints` tests is tested by `distinct_edges`
     too, so it is enough to find a failure under `disjoint_endpoints`.
-    The map is a validated polyhedron: 3-connected, its faces are induced
-    cycles, two faces share at most one edge, and the faces at a vertex are
-    distinct.  Write x' for the third neighbour of a degree-3 vertex x on a
-    face, so the two faces at x other than that face share the edge xx'.
+    The map is a polyhedron, checked by `_sphere_map` or by the lemma of
+    `census._leaf_map`: 3-connected, its faces are induced cycles, two
+    faces share at most one edge, and the faces at a vertex are distinct.
+    Write x' for the third neighbour of a degree-3 vertex x on a face, so
+    the two faces at x other than that face share the edge xx'.
 
-    Triangle abc with a and b of degree 3.  Let F be the face across ab,
-    and Ga and Gb the faces across ca and cb.  F meets Ga in the edge aa'
-    and Gb in bb'.  If a' = b', then {c, a'} cuts {a, b} off, or V = 4 and
-    the four faces fail condition 1.  Otherwise these two edges of F are
-    disjoint, and condition 3 on (Ga, F, Gb) asks Ga and Gb to be
-    disjoint, but both contain c (and Ga != Gb, else c had degree 2).
+    A triangle abc that fails has two degree-3 vertices, say a and b.  Let
+    F be the face across ab, and Ga and Gb the faces across ca and cb.  F
+    meets Ga in the edge aa' and Gb in bb'.  If a' = b', then {c, a'} cuts
+    {a, b} off, or V = 4 and the four faces fail condition 1.  Otherwise
+    these two edges of F are disjoint, and condition 3 on (Ga, F, Gb) asks
+    Ga and Gb to be disjoint, but both contain c (and Ga != Gb, else c had
+    degree 2).
 
-    Quadrilateral abcd of degree-3 vertices.  Let Fab, Fbc, Fcd and Fda be
-    the faces across its edges.  They are distinct, as each shares only one
-    edge with abcd, and consecutive ones meet in aa', bb', cc' and dd', so
-    they form a 4-circuit of the dual.  If a' = b', Fab is the triangle
-    aba' with two degree-3 vertices, which fails as above; so consecutive
-    primes differ.  If a' = c', condition 3 on (Fda, Fab, Fbc) fails: Fab
-    meets them in the disjoint edges aa' and bb', and both contain a'.
-    Likewise b' != d'.  With a' != c (abcd is induced) and so on, the four
-    crossed edges are disjoint, and the circuit is prismatic: condition 4
-    fails.  Condition 4 does not depend on the reading.
+    A quadrilateral abcd that fails has four degree-3 vertices.  Let Fab,
+    Fbc, Fcd and Fda be the faces across its edges.  They are distinct, as
+    each shares only one edge with abcd, and consecutive ones meet in aa',
+    bb', cc' and dd', so they form a 4-circuit of the dual.  If a' = b',
+    Fab is the triangle aba' with two degree-3 vertices, which fails as
+    above; so consecutive primes differ.  If a' = c', condition 3 on (Fda,
+    Fab, Fbc) fails: Fab meets them in the disjoint edges aa' and bb', and
+    both contain a'.  Likewise b' != d'.  With a' != c (abcd is induced)
+    and so on, the four crossed edges are disjoint, and the circuit is
+    prismatic: condition 4 fails.  Condition 4 does not depend on the
+    reading.
     """
     for face in m.poly.faces:
         ideal = sum(1 for v in face if m.degrees[v] == 4)
