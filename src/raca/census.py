@@ -316,8 +316,8 @@ def _certify(adj):
     The conditions read only the face lattice, which the leaf's map shares
     with the map rebuilt from its certificate, so testing them first drops
     no realizable type, and only leaves that pass pay for `_canonical_form`
-    (5 of the 354 sphere-type leaves of the candidate region when the search
-    is not pruned; with `_closes_bad_face`, 5 of 5 among 90 leaves).
+    (in the candidate region, 5 of the 354 sphere-type leaves of the
+    unpruned search, and 5 of 5 once `_closes_bad_face` prunes it).
     `distinct_edges` tests every face triple that `disjoint_endpoints`
     tests, so a leaf that passes under either reading passes under
     `disjoint_endpoints`, the one reading tried here.
