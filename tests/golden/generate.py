@@ -1,14 +1,15 @@
-"""Write the golden outputs of the census and polyhedron-check commands.
+"""Write the golden outputs of the census, polyhedron-check and arith commands.
 
 Each case runs `raca.cli.main` in-process with COLUMNS=80, from this
 directory, and records its exit code (in cases.json), stdout
 (<name>.stdout) and stderr (<name>.stderr).  The cases cover plain and
 --json output of `verify-theorem` and `census enumerate` (the five pairs
-of the candidate region) under both readings of condition 3, and of
+of the candidate region) under both readings of condition 3, of
 `check stats` and `check andreev` (both readings) on the polyhedron files
 in inputs/: catalog shapes, Lobell(12), Antiprism(16) and one input per
-validation error code, also written here.  tests/test_golden.py replays
-them.  From the repository root:
+validation error code, and of `arith check` on the Coxeter diagrams in
+inputs/ under several --max-len bounds, all written here.
+tests/test_golden.py replays them.  From the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
 """
@@ -21,6 +22,7 @@ import pathlib
 
 from raca import catalog
 from raca.cli import main
+from raca.polyhedra import dual_graph
 
 HERE = pathlib.Path(__file__).resolve().parent
 READINGS = ("disjoint_endpoints", "distinct_edges")
@@ -43,6 +45,42 @@ REJECTS = {
                   (3, 4, 7, 6), (4, 5, 8, 7), (5, 3, 6, 8),
                   (6, 7, 1, 0), (7, 8, 2, 1), (8, 6, 0, 2)]),
 }
+
+
+# a 9-node diagram with every label; its triangle (0, 5, 8) and its
+# 4-cycle (0, 1, 3, 2) have irrational products
+NONARITH9 = [[1, 3, 4, 2, 2, 3, 3, 2, 4],
+             [3, 1, 2, 4, 3, 2, "inf", 3, 2],
+             [4, 2, 1, 4, 2, 2, 2, 2, 2],
+             [2, 4, 4, 1, 2, 2, 6, 4, 2],
+             [2, 3, 2, 2, 1, 2, 4, 2, 6],
+             [3, 2, 2, 2, 2, 1, 2, 2, "inf"],
+             [3, "inf", 2, 6, 4, 2, 1, 2, 2],
+             [2, 3, 2, 4, 2, 2, 2, 1, 2],
+             [4, 2, 2, 2, 6, "inf", 2, 2, 1]]
+
+# diagram file -> the --max-len bounds it runs under (None: the default)
+ARITH = {"coxeter_P32": (None, 3, 1),
+         "coxeter_nonarith9": (None, 4, 3, 2),
+         "coxeter_asymmetric": (None,)}
+
+
+def p32_diagram():
+    """Coxeter diagram of P32: adjacent faces meet at a right angle (label
+    2), and every other pair of its faces shares an ideal vertex (inf)."""
+    p = catalog.p32()
+    n = len(p.faces)
+    adjacent = {(i, j) for i, j, _ in dual_graph(p).edges}
+    m = [[1 if i == j else 2 if (min(i, j), max(i, j)) in adjacent else "inf"
+          for j in range(n)] for i in range(n)]
+    return {"size": n, "m": m}
+
+
+def diagrams():
+    """File name (without .json) -> Coxeter diagram dict of every arith input."""
+    return {"coxeter_P32": p32_diagram(),
+            "coxeter_nonarith9": {"size": 9, "m": NONARITH9},
+            "coxeter_asymmetric": {"size": 3, "m": [[1, 3, 2], [4, 1, 2], [2, 2, 1]]}}
 
 
 def inputs():
@@ -74,6 +112,13 @@ def cases():
             for reading in READINGS:
                 yield (f"check-andreev_{name}_{reading}_{form}",
                        ["check", "andreev", path, "--condition3-reading", reading, *extra])
+    for name, bounds in ARITH.items():
+        for max_len in bounds:
+            bound = [] if max_len is None else ["--max-len", str(max_len)]
+            label = "default" if max_len is None else f"max-len{max_len}"
+            for form, extra in FORMS:
+                yield (f"arith-check_{name}_{label}_{form}",
+                       ["arith", "check", f"inputs/{name}.json", *bound, *extra])
 
 
 def run(argv):
@@ -88,7 +133,7 @@ def write():
     os.environ["COLUMNS"] = "80"
     os.chdir(HERE)
     (HERE / "inputs").mkdir(exist_ok=True)
-    for name, payload in inputs().items():
+    for name, payload in {**inputs(), **diagrams()}.items():
         (HERE / "inputs" / f"{name}.json").write_text(json.dumps(payload) + "\n")
     manifest = []
     for name, argv in cases():
