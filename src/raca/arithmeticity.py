@@ -81,9 +81,11 @@ class ExactGramMatrix:
             if self.entries[i][i] != two:
                 raise DomainError(f"doubled Gram diagonal entry ({i},{i}) must be 2")
             for j in range(n):
-                if not isinstance(self.entries[i][j], SurdInteger):
+                entry, mirror = self.entries[i][j], self.entries[j][i]
+                if not isinstance(entry, SurdInteger):
                     raise DomainError(f"Gram entry ({i},{j}) is not a SurdInteger")
-                if self.entries[i][j] != self.entries[j][i]:
+                # gram_from_coxeter shares one object per label
+                if entry is not mirror and entry != mirror:
                     raise DomainError(f"Gram matrix not symmetric at ({i},{j})")
 
 
@@ -164,7 +166,7 @@ def gram_from_coxeter(matrix) -> ExactGramMatrix:
     return ExactGramMatrix(size=n, entries=tuple(rows))
 
 
-def _simple_cycles(gram: ExactGramMatrix, max_len: int, classes=None):
+def _simple_cycles(gram: ExactGramMatrix, max_len: int, table=None):
     """Yield (cycle, product) over simple cycles of length 2..max_len.
 
     Cycles are emitted once (not once per orientation or starting point):
@@ -172,17 +174,16 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int, classes=None):
     smaller than the last.  The reverse orientation has the same product
     because the matrix is symmetric.  Order of emission is deterministic.
     The walk raises ResourceLimitError once it has examined more than
-    _WALK_LIMIT neighbours.  Given the rows of `_square_classes`, the
+    _WALK_LIMIT neighbours; for max_len 3 it is unrolled into loops.  Given the table of `_square_classes`, the
     product is the cycle's square class (XOR from 0) instead of its exact
     value; the cycles are the same, since both walk the nonzero entries.
     """
     n = gram.size
-    entries = gram.entries
-    nonzero = [[j for j in range(n) if j != i and entries[i][j]] for i in range(n)]
-    if classes is None:
-        values, one, combine = entries, SurdInteger(1), operator.mul
+    if table is None:
+        values, one, combine = gram.entries, SurdInteger(1), operator.mul
+        nonzero = [[j for j in range(n) if j != i and values[i][j]] for i in range(n)]
     else:
-        values, one, combine = classes, 0, operator.xor
+        (values, nonzero), one, combine = table, 0, operator.xor
 
     for i in range(n):
         for j in nonzero[i]:
@@ -193,6 +194,29 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int, classes=None):
         return
 
     steps = 0
+    if max_len == 3:
+        # the walk below, unrolled: start s, then a > s next to s, then
+        # b > s next to a, closing (s, a, b) if b > a and b is next to s.
+        # Same triangles, products, order and steps (the walk enters b also
+        # when b < a); steps only grow, so a check once per start raises
+        # exactly when the walk would
+        for s in range(n):
+            steps += len(nonzero[s])
+            row_s, around = values[s], set(nonzero[s])
+            for a in nonzero[s]:
+                if a > s:
+                    steps += len(nonzero[a])
+                    row_a = values[a]
+                    for b in nonzero[a]:
+                        if b > s:
+                            steps += len(nonzero[b])
+                            if b > a and b in around:
+                                yield (s, a, b), combine(combine(row_s[a], row_a[b]), row_s[b])
+            if steps > _WALK_LIMIT:
+                raise ResourceLimitError(
+                    f"cycle enumeration stopped after {_WALK_LIMIT} steps; "
+                    f"lower max_len (now {max_len})")
+        return
 
     def walk(start, path, product, used):
         nonlocal steps
@@ -224,25 +248,39 @@ def _square_class(x: SurdInteger):
     bit 0 for sqrt 2 and bit 1 for sqrt 3, so classes multiply by XOR.
     None for 0 and for sums of more than one monomial.
     """
-    nonzero = [k for k, coef in enumerate((x.a, x.b, x.c, x.d)) if coef]
-    return nonzero[0] if len(nonzero) == 1 else None
+    a, b, c, d = x.a, x.b, x.c, x.d
+    if a:
+        return None if b or c or d else 0
+    if b:
+        return None if c or d else 1
+    if c:
+        return None if d else 2
+    return 3 if d else None
 
 
 def _square_classes(gram: ExactGramMatrix):
-    """Rows of classes of the off-diagonal entries (None where 0), or None
-    if some nonzero entry is not a monomial."""
-    rows = [[None] * gram.size for _ in range(gram.size)]
+    """The rows of classes of the off-diagonal entries (None where 0) and
+    each row's nonzero columns in increasing order, or None if some nonzero
+    entry is not a monomial."""
+    n = gram.size
+    rows, nonzero = [], []
+    for _ in range(n):
+        rows.append([None] * n)
+        nonzero.append([])
     for i, row in enumerate(gram.entries):
-        for j in range(i + 1, gram.size):
-            if row[j]:
-                c = _square_class(row[j])
-                if c is None:
+        for j in range(i + 1, n):
+            c = _square_class(row[j])
+            if c is None:
+                if row[j]:
                     return None
-                rows[i][j] = rows[j][i] = c
-    return rows
+                continue
+            rows[i][j] = rows[j][i] = c
+            nonzero[i].append(j)
+            nonzero[j].append(i)
+    return rows, nonzero
 
 
-def _potential_check(gram: ExactGramMatrix, classes, max_len: int) -> ArithmeticityResult:
+def _potential_check(gram: ExactGramMatrix, table, max_len: int) -> ArithmeticityResult:
     """Vinberg's criterion through a square-class potential.
 
     A product of monomials is a rational integer exactly when their classes
@@ -255,6 +293,7 @@ def _potential_check(gram: ExactGramMatrix, classes, max_len: int) -> Arithmetic
     E - n + c fundamental cycles (c components).
     """
     n = gram.size
+    classes, nonzero = table
     potential = [None] * n
     parent = [None] * n
     components = 0
@@ -266,20 +305,19 @@ def _potential_check(gram: ExactGramMatrix, classes, max_len: int) -> Arithmetic
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w, c in enumerate(classes[v]):
-                if c is not None and potential[w] is None:
-                    potential[w] = potential[v] ^ c
+            for w in nonzero[v]:
+                if potential[w] is None:
+                    potential[w] = potential[v] ^ classes[v][w]
                     parent[w] = v
                     queue.append(w)
 
     edges = 0
     failing = None
     for i in range(n):
-        for j in range(i + 1, n):
-            c = classes[i][j]
-            if c is not None:
+        for j in nonzero[i]:
+            if j > i:
                 edges += 1
-                if failing is None and potential[i] ^ potential[j] != c:
+                if failing is None and potential[i] ^ potential[j] != classes[i][j]:
                     failing = (i, j)
 
     witness_cycle = witness_product = None
@@ -356,24 +394,29 @@ def is_arithmetic_noncocompact(gram, max_len=None) -> ArithmeticityResult:
     _WALK_LIMIT steps raises ResourceLimitError.  With monomial entries the
     walk carries square classes, since a product of nonzero monomials is
     rational exactly when its class is 0, and only the witness's product
-    is computed exactly.
+    is computed exactly.  The square-class table is built once per matrix
+    and kept on it, so checks of one matrix under several max_len share it.
     """
     gram = _as_gram(gram)
     if max_len is None:
         max_len = max(gram.size, 2)
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 2:
         raise DomainError("max_len must be an integer >= 2")
-    classes = _square_classes(gram)
-    if classes is not None and max_len >= gram.size:
-        return _potential_check(gram, classes, max_len)
+    # kept on the instance, outside the dataclass fields, so that the checks
+    # of one matrix build its table once
+    if "_classes" not in vars(gram):
+        object.__setattr__(gram, "_classes", _square_classes(gram))
+    table = gram._classes
+    if table is not None and max_len >= gram.size:
+        return _potential_check(gram, table, max_len)
 
     checked = 0
     witness_cycle = None
     witness_product = None
-    for cycle, product in _simple_cycles(gram, max_len, classes):
+    for cycle, product in _simple_cycles(gram, max_len, table):
         checked += 1
         if witness_cycle is None and (
-                product if classes is not None else not product.is_rational_integer):
+                product if table is not None else not product.is_rational_integer):
             witness_cycle = cycle
             witness_product = _cycle_product(gram, cycle)
     return ArithmeticityResult(

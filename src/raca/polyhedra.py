@@ -361,6 +361,22 @@ def _lemma_rem(m: _SphereMap) -> LemmaResult:
     and so on, the four crossed edges are disjoint, and the circuit is
     prismatic: condition 4 fails.  Condition 4 does not depend on the
     reading.
+
+    The lemma as a face charge.  Let the map have V_inf degree-4 and V_f
+    degree-3 vertices, and let I_f count the degree-4 vertices of face f.
+    Then
+
+        sum over f of (|f| - 5 + I_f)  =  3 V_inf + V_f / 2 - 10.
+
+    Proof: the face sizes sum to 2E = 4 V_inf + 3 V_f; a degree-4 vertex
+    lies on four distinct faces, so the I_f sum to 4 V_inf; and Euler's
+    formula gives F = 2 - V + E = 2 + V_inf + V_f / 2.  The term of a
+    triangle is I_f - 2, of a quadrilateral I_f - 1, and of a larger face
+    at least 0, so the lemma holds exactly when every term is >= 0.  Two
+    corollaries for a map that passes the lemma, and so for every map that
+    passes Andreev's conditions: 3 V_inf + V_f / 2 >= 10, which rules out
+    (2, 4), (2, 6), (1, V_f <= 12) and (0, V_f <= 18); and, since the other
+    terms are >= 0, no face has more than 3 V_inf + V_f / 2 - 5 sides.
     """
     for face in m.poly.faces:
         ideal = sum(1 for v in face if m.degrees[v] == 4)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from raca import catalog
+from raca import arithmeticity, catalog
 from raca.arithmeticity import (
     INF,
     CoxeterMatrix,
@@ -292,10 +292,10 @@ def _components(gram):
     return sum(1 for v in range(gram.size) if find(v) == v)
 
 
-def _random_diagram(rng):
-    """Coxeter matrix on 2..8 nodes with labels from {2, 3, 4, 6, inf}: dense,
-    sparse, a tree, or two blocks joined by label 2 only."""
-    n = rng.randint(2, 8)
+def _random_diagram(rng, sizes=(2, 8)):
+    """Coxeter matrix on 2..8 nodes (or `sizes`) with labels from {2, 3, 4,
+    6, inf}: dense, sparse, a tree, or two blocks joined by label 2 only."""
+    n = rng.randint(*sizes)
     kind = rng.choice(["dense", "sparse", "tree", "disconnected"])
     m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
 
@@ -421,3 +421,127 @@ def test_non_monomial_entries_take_the_enumeration():
     big[0][1] = big[1][0] = x
     with pytest.raises(ResourceLimitError):
         is_arithmetic_noncocompact(ExactGramMatrix(14, big))
+
+
+# -- the max_len 3 loop against the recursive walk ------------------------------
+
+def _walk(gram, max_len, table=None):
+    """The recursive walk of `_simple_cycles`, for every max_len >= 3, with
+    its step limit; exact products, or square classes given the table."""
+    n = gram.size
+    if table is None:
+        values, one, combine = gram.entries, ONE, lambda x, y: x * y
+        nonzero = [[j for j in range(n) if j != i and values[i][j]] for i in range(n)]
+    else:
+        (values, nonzero), one, combine = table, 0, lambda x, y: x ^ y
+    for i in range(n):
+        for j in nonzero[i]:
+            if j > i:
+                yield (i, j), combine(values[i][j], values[j][i])
+    steps = 0
+
+    def walk(start, path, product, used):
+        nonlocal steps
+        last = path[-1]
+        steps += len(nonzero[last])
+        if steps > arithmeticity._WALK_LIMIT:
+            raise ResourceLimitError("walk limit")
+        for nxt in nonzero[last]:
+            if nxt == start and len(path) >= 3:
+                if path[1] < path[-1]:
+                    yield tuple(path), combine(product, values[last][start])
+            elif nxt > start and nxt not in used and len(path) < max_len:
+                used.add(nxt)
+                path.append(nxt)
+                yield from walk(start, path, combine(product, values[last][nxt]), used)
+                path.pop()
+                used.discard(nxt)
+
+    for start in range(n):
+        yield from walk(start, [start], one, {start})
+
+
+def _outcome(cycles):
+    """The cycles in order, or "limit" if producing them meets the limit."""
+    try:
+        return list(cycles)
+    except ResourceLimitError:
+        return "limit"
+
+
+def _random_surd_gram(rng):
+    """Gram matrix on 2..12 nodes with some entries outside the monomials."""
+    n = rng.randint(2, 12)
+    pool = [ZERO, ZERO, SurdInteger(-1), -SQRT2, -SQRT3, SurdInteger(-2), 2 * SQRT6,
+            ONE + SQRT2, SQRT2 - SQRT3]
+    e = [[SurdInteger(2) if i == j else None for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e[i][j] = e[j][i] = rng.choice(pool)
+    return ExactGramMatrix(n, e)
+
+
+def _seeded_grams():
+    rng = random.Random(20261020)
+    for _ in range(150):
+        yield gram_from_coxeter(_random_diagram(rng, (2, 12)))
+        yield _random_surd_gram(rng)
+
+
+def test_max_len_3_loop_matches_the_walk(monkeypatch):
+    kinds = Counter()
+    for gram in _seeded_grams():
+        table = arithmeticity._square_classes(gram)
+        kinds[table is None] += 1
+        walk = _outcome(_walk(gram, 3))
+        assert _outcome(arithmeticity._simple_cycles(gram, 3)) == walk
+        assert cyclic_products(gram, 3) == {p for _, p in walk}
+        if table is not None:
+            assert _outcome(arithmeticity._simple_cycles(gram, 3, table)) == \
+                _outcome(_walk(gram, 3, table))
+        res = is_arithmetic_noncocompact(gram, 3)
+        first = next(((c, p) for c, p in walk if not p.is_rational_integer), (None, None))
+        assert (res.cycles_checked, res.witness_cycle, res.witness_product) == \
+            (len(walk), *first)
+        assert res.arithmetic == (first[0] is None)
+    assert kinds[False] > 150 and kinds[True] > 50
+
+    # the loop takes the walk's steps: with a small limit both stop, or neither
+    stops = Counter()
+    for limit in (1, 8, 40, 150, 600):
+        monkeypatch.setattr(arithmeticity, "_WALK_LIMIT", limit)
+        for gram in _seeded_grams():
+            table = arithmeticity._square_classes(gram)
+            want = _outcome(_walk(gram, 3)) == "limit"
+            stops[want] += 1
+            fresh = ExactGramMatrix(gram.size, gram.entries)
+            runs = [lambda: cyclic_products(gram, 3),
+                    lambda: list(arithmeticity._simple_cycles(gram, 3, table))]
+            # on up to 3 monomial nodes max_len 3 takes the potential, not the walk
+            if table is None or gram.size > 3:
+                runs.append(lambda: is_arithmetic_noncocompact(fresh, 3))
+            for run in runs:
+                if want:
+                    with pytest.raises(ResourceLimitError, match="lower max_len \\(now 3\\)"):
+                        run()
+                else:
+                    run()
+    assert stops[True] > 100 and stops[False] > 100
+
+
+def test_square_class_table_is_built_once_per_gram(monkeypatch):
+    calls = []
+    build = arithmeticity._square_classes
+    monkeypatch.setattr(arithmeticity, "_square_classes",
+                        lambda gram: calls.append(gram) or build(gram))
+    gram = gram_from_coxeter(load_coxeter(D344))
+    plain = gram_from_coxeter(load_coxeter(D344))
+    full = is_arithmetic_noncocompact(gram)
+    bounded = is_arithmetic_noncocompact(gram, 3)
+    assert calls == [gram]
+    assert (full.cycles_checked, bounded.cycles_checked) == (3, 3)
+    # the table is no field: equality, hash and repr ignore it
+    assert gram == plain and hash(gram) == hash(plain) and repr(gram) == repr(plain)
+    assert "_classes" in vars(gram) and "_classes" not in vars(plain)
+    assert is_arithmetic_noncocompact(plain, 3) == bounded
+    assert calls == [gram, plain]

@@ -443,6 +443,35 @@ def test_andreev_implies_the_face_lemma_on_every_sphere_type():
     assert verdicts == {(False, False): 77, (True, True): 3}
 
 
+def test_face_charges_sum_to_the_euler_count_on_every_sphere_type():
+    # the identity of the `_lemma_rem` docstring: the terms |f| - 5 + I_f sum
+    # to 3 V_inf + V_f/2 - 10, and the lemma holds iff no term is negative
+    verdicts = Counter()
+    for pair in candidate_pairs():
+        vi, vf = pair.v_inf, pair.v_f
+        for cert in _sphere_type_certificates(vi, vf):
+            m = _map_from_certificate(cert)
+            terms = [len(face) - 5 + sum(1 for v in face if m.degrees[v] == 4)
+                     for face in m.poly.faces]
+            assert sum(terms) == 3 * vi + vf // 2 - 10, cert
+            lemma = _lemma_rem(m).passed
+            assert lemma == (min(terms) >= 0), cert
+            if lemma:
+                assert max(len(face) for face in m.poly.faces) <= 3 * vi + vf // 2 - 5
+            verdicts[(vi, vf), lemma] += 1
+    # (2, 4) and (2, 6) sum below 0, so each of their types fails the lemma
+    assert sum(verdicts.values()) == 80
+    assert not verdicts[(2, 4), True] and not verdicts[(2, 6), True]
+    assert verdicts[(2, 4), False] and verdicts[(2, 6), False]
+
+
+def test_compact_pairs_below_the_euler_count_have_no_andreev_type():
+    # with no degree-4 vertex the charge sum V_f/2 - 10 is negative up to
+    # V_f = 18; the pruned search confirms it to V_f = 14
+    for vf in range(4, 15, 2):
+        assert census._andreev_types(0, vf, False) == (), vf
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_one_ideal_vertex_pairs_have_no_andreev_type(reverse):
     # the one-ideal branch below G without Nonaka's bound: (4 + V_finite - 8)G/8
