@@ -157,6 +157,11 @@ def test_matrix_validation():
         ExactGramMatrix(2, [[SurdInteger(2, 0, 0, 0), ONE], [ZERO, SurdInteger(2, 0, 0, 0)]])
     with pytest.raises(DomainError):
         ExactGramMatrix(2, [[ONE, ZERO], [ZERO, ONE]])
+    two = SurdInteger(2)
+    with pytest.raises(DomainError, match=r"not symmetric at \(0,1\)"):
+        ExactGramMatrix(2, [[two, -SQRT2], [-SQRT3, two]])
+    # equal entries need not be one object
+    ExactGramMatrix(2, [[two, SurdInteger(0, 1)], [SurdInteger(0, 1), two]])
 
 
 def test_load_coxeter_sources(tmp_path):
