@@ -174,9 +174,10 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int, table=None):
     smaller than the last.  The reverse orientation has the same product
     because the matrix is symmetric.  Order of emission is deterministic.
     The walk raises ResourceLimitError once it has examined more than
-    _WALK_LIMIT neighbours; for max_len 3 it is unrolled into loops.  Given the table of `_square_classes`, the
-    product is the cycle's square class (XOR from 0) instead of its exact
-    value; the cycles are the same, since both walk the nonzero entries.
+    _WALK_LIMIT neighbours; for max_len 3 it is unrolled into loops.  Given
+    the table of `_square_classes`, the product is the cycle's square class
+    (XOR from 0) instead of its exact value; the cycles are the same, since
+    both walk the nonzero entries.
     """
     n = gram.size
     if table is None:
