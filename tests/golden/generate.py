@@ -1,4 +1,5 @@
-"""Write the golden outputs of the census, polyhedron-check and arith commands.
+"""Write the golden outputs of the census, check, arith, lob, volume and
+bounds commands.
 
 Each case runs `raca.cli.main` in-process with COLUMNS=80, from this
 directory, and records its exit code (in cases.json), stdout
@@ -7,8 +8,11 @@ directory, and records its exit code (in cases.json), stdout
 of the candidate region) under both readings of condition 3, of
 `check stats` and `check andreev` (both readings) on the polyhedron files
 in inputs/: catalog shapes, Lobell(12), Antiprism(16) and one input per
-validation error code, and of `arith check` on the Coxeter diagrams in
-inputs/ under several --max-len bounds, all written here.
+validation error code, of `arith check` on the Coxeter diagrams in
+inputs/ under several --max-len bounds, all written here, and of every
+`lob`, `volume` and `bounds` leaf on the arguments in PRICES, with
+--precision 0 and 12 on each leaf's first arguments.  The --json files
+pin every value and error bound to the bit.
 tests/test_golden.py replays them.  From the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
@@ -19,6 +23,7 @@ import io
 import json
 import os
 import pathlib
+import re
 
 from raca import catalog
 from raca.cli import main
@@ -63,6 +68,26 @@ NONARITH9 = [[1, 3, 4, 2, 2, 3, 3, 2, 4],
 ARITH = {"coxeter_P32": (None, 3, 1),
          "coxeter_nonarith9": (None, 4, 3, 2),
          "coxeter_asymmetric": (None,)}
+
+# each lob, volume and bounds leaf -> its argument lists; the last of lob,
+# lobell, named, compact and mixed is an input error (exit 3)
+PRICES = {
+    "lob": ("pi/4", "-pi/3", "0", "1e16", "nan"),
+    "volume orthoscheme": ("pi/3 pi/4 pi/4", "pi/4 pi/4 pi/4"),
+    "volume lobell": ("5", "12", "1000000", "4"),
+    "volume antiprism": ("3", "4", "1000000"),
+    "volume named": ("P32", "P28", "P34", "Delta344", "Delta444", "DeltaPrime344",
+                     "Lobell(7)", "Antiprism(9)", "Foo"),
+    "bounds compact": ("20", "19"),
+    "bounds ideal": ("6",),
+    "bounds mixed": ("1 18", "3 2", "0 2"),
+}
+
+
+def _label(words):
+    """File-name form of command words: "-pi/3" -> "neg-pi-3"."""
+    return "_".join(("neg-" if w.startswith("-") else "") + re.sub(r"\W+", "-", w).strip("-")
+                    for w in words)
 
 
 def p32_diagram():
@@ -119,6 +144,16 @@ def cases():
             for form, extra in FORMS:
                 yield (f"arith-check_{name}_{label}_{form}",
                        ["arith", "check", f"inputs/{name}.json", *bound, *extra])
+    for leaf, arguments in PRICES.items():
+        command = leaf.split()
+        for i, text in enumerate(arguments):
+            words = text.split()
+            stem = f"{'-'.join(command)}_{_label(words)}"
+            for form, extra in FORMS:
+                yield f"{stem}_{form}", [*command, *words, *extra]
+            if i == 0:
+                for prec in ("0", "12"):
+                    yield f"{stem}_precision{prec}", [*command, *words, "--precision", prec]
 
 
 def run(argv):

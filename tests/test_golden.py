@@ -1,4 +1,5 @@
-"""Golden bytes: exit code, stdout and stderr of the census and check command lines.
+"""Golden bytes: exit code, stdout and stderr of the census, check, arith, lob,
+volume and bounds command lines.
 
 tests/golden/generate.py wrote the files, the check inputs among them;
 each case is replayed here through `cli.main` in-process with COLUMNS=80,
