@@ -36,7 +36,7 @@ from .polyhedra import (
     _new_map,
     canonical_form,
 )
-from .volumes import VolumeReport, lobell_volume, mixed_lower_bound, named_volume
+from .volumes import VolumeReport, _report, lobell_volume, mixed_lower_bound, named_volume
 
 # Imported fact (Nonaka): a right-angled hyperbolic polyhedron with exactly
 # one ideal vertex has at least 12 faces.  Used as a constant, not re-derived.
@@ -431,13 +431,8 @@ def _type_volume(cert: str, pair: CandidatePair):
     name = _closed_form_names().get(cert)
     if name is not None:
         return named_volume(name), True
-    coeff = (4 * pair.v_inf + pair.v_f - 8) / 8.0
-    g = catalan_constant()
-    return VolumeReport(
-        value=mixed_lower_bound(pair.v_inf, pair.v_f),
-        formula=f"lower bound ({4 * pair.v_inf + pair.v_f} - 8)*G/8",
-        abs_error_bound=abs(coeff) * g.abs_error_bound,
-    ), False
+    k = 4 * pair.v_inf + pair.v_f  # a candidate pair has k > 8
+    return _report(catalan_constant(), f"lower bound ({k} - 8)*G/8", (k - 8) / 8.0), False
 
 
 @lru_cache(maxsize=None)

@@ -241,6 +241,18 @@ def lobachevsky(theta: float) -> EvaluationResult:
     return lobachevsky_series(theta)
 
 
+def _price(terms, scale):
+    """scale * sum c L(theta) over the (c, theta) terms, with the bound
+    scale * sum |c| bound(L(theta)): every closed-form price is one such sum.
+    Both sums run in the terms' order and are scaled once, at the end."""
+    total = bound = 0.0
+    for c, theta in terms:
+        r = lobachevsky(theta)
+        total += c * r.value
+        bound += abs(c) * r.abs_error_bound
+    return EvaluationResult(scale * total, scale * bound)
+
+
 def catalan_constant() -> EvaluationResult:
     """Catalan's constant G = sum (-1)^n / (2n+1)^2.
 
@@ -264,11 +276,9 @@ def catalan_constant() -> EvaluationResult:
 
 def v_oct() -> EvaluationResult:
     """Volume of the regular ideal octahedron, 8 L(pi/4)."""
-    r = lobachevsky(math.pi / 4.0)
-    return EvaluationResult(8.0 * r.value, 8.0 * r.abs_error_bound)
+    return _price(((1.0, math.pi / 4.0),), 8.0)
 
 
 def v_tet() -> EvaluationResult:
     """Volume of the regular ideal tetrahedron, 3 L(pi/3)."""
-    r = lobachevsky(math.pi / 3.0)
-    return EvaluationResult(3.0 * r.value, 3.0 * r.abs_error_bound)
+    return _price(((1.0, math.pi / 3.0),), 3.0)

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .lobachevsky import catalan_constant, lobachevsky, v_oct, v_tet
+from .lobachevsky import _price, catalan_constant, v_oct, v_tet
 
 _EPS = 1e-12
 _N_CAP = 10**6  # conditioning cap for family formulas
@@ -80,24 +80,12 @@ def orthoscheme_volume(alpha: float, beta: float, gamma: float) -> VolumeReport:
     """
     delta = orthoscheme_delta(alpha, beta, gamma)
     half_pi = math.pi / 2
-    parts = (
-        (1.0, alpha + delta),
-        (-1.0, alpha - delta),
-        (1.0, gamma + delta),
-        (-1.0, gamma - delta),
-        (-1.0, half_pi - beta + delta),
-        (1.0, half_pi - beta - delta),
-        (2.0, half_pi - delta),
-    )
-    total = 0.0
-    bound = 0.0
-    for coeff, arg in parts:
-        r = lobachevsky(arg)
-        total += coeff * r.value
-        bound += abs(coeff) * r.abs_error_bound
+    r = _price(((1.0, alpha + delta), (-1.0, alpha - delta),
+                (1.0, gamma + delta), (-1.0, gamma - delta),
+                (-1.0, half_pi - beta + delta), (1.0, half_pi - beta - delta),
+                (2.0, half_pi - delta)), 0.25)
     # the formula is nonnegative on its domain; rounding may dip just below 0
-    value = max(total / 4.0, 0.0)
-    return VolumeReport(value, "kellerhals(alpha,beta,gamma)", bound / 4.0)
+    return VolumeReport(max(r.value, 0.0), "kellerhals(alpha,beta,gamma)", r.abs_error_bound)
 
 
 def lobell_volume(n) -> VolumeReport:
@@ -110,19 +98,8 @@ def lobell_volume(n) -> VolumeReport:
     """
     n = _check_family_n(n, 5, "lobell_volume")
     theta = math.pi / 2 - math.acos(1.0 / (2.0 * math.cos(math.pi / n)))
-    parts = (
-        (2.0, theta),
-        (1.0, theta + math.pi / n),
-        (1.0, theta - math.pi / n),
-        (-1.0, 2.0 * theta - math.pi / 2),
-    )
-    total = 0.0
-    bound = 0.0
-    for coeff, arg in parts:
-        r = lobachevsky(arg)
-        total += coeff * r.value
-        bound += abs(coeff) * r.abs_error_bound
-    return VolumeReport(total * n / 2.0, "lobell(n)", bound * n / 2.0)
+    return _report(_price(((2.0, theta), (1.0, theta + math.pi / n), (1.0, theta - math.pi / n),
+                           (-1.0, 2.0 * theta - math.pi / 2)), n / 2.0), "lobell(n)")
 
 
 def antiprism_volume(n) -> VolumeReport:
@@ -132,11 +109,13 @@ def antiprism_volume(n) -> VolumeReport:
     ideal octahedron.
     """
     n = _check_family_n(n, 3, "antiprism_volume")
-    r1 = lobachevsky(math.pi / 4 + math.pi / (2 * n))
-    r2 = lobachevsky(math.pi / 4 - math.pi / (2 * n))
-    value = 2.0 * n * (r1.value + r2.value)
-    bound = 2.0 * n * (r1.abs_error_bound + r2.abs_error_bound)
-    return VolumeReport(value, "antiprism(n)", bound)
+    return _report(_price(((1.0, math.pi / 4 + math.pi / (2 * n)),
+                           (1.0, math.pi / 4 - math.pi / (2 * n))), 2.0 * n), "antiprism(n)")
+
+
+def _report(r, formula, scale=1.0):
+    """The price r, value and error bound times `scale`, under `formula`."""
+    return VolumeReport(scale * r.value, formula, scale * r.abs_error_bound)
 
 
 _PARAM_NAME = re.compile(r"^(Lobell|Antiprism)\((\d+)\)$")
@@ -149,24 +128,20 @@ def named_volume(name: str) -> VolumeReport:
     Lobell(n), Antiprism(n).
     """
     if name == "P32":
-        r = lobachevsky(math.pi / 4)
-        return VolumeReport(2.0 * r.value, "2*L(pi/4)", 2.0 * r.abs_error_bound)
+        return _report(_price(((1.0, math.pi / 4),), 2.0), "2*L(pi/4)")
     if name == "P28":
-        r = lobachevsky(math.pi / 4)
-        return VolumeReport(4.0 * r.value, "4*L(pi/4)", 4.0 * r.abs_error_bound)
+        return _report(_price(((1.0, math.pi / 4),), 4.0), "4*L(pi/4)")
     if name == "P34":
-        r = antiprism_volume(4)
-        return VolumeReport(r.value / 4.0, "antiprism(4)/4", r.abs_error_bound / 4.0)
+        return _report(antiprism_volume(4), "antiprism(4)/4", 0.25)
     if name == "Delta344":
-        r = orthoscheme_volume(math.pi / 3, math.pi / 4, math.pi / 4)
-        return VolumeReport(r.value, "kellerhals(pi/3,pi/4,pi/4)", r.abs_error_bound)
+        return _report(orthoscheme_volume(math.pi / 3, math.pi / 4, math.pi / 4),
+                       "kellerhals(pi/3,pi/4,pi/4)")
     if name == "Delta444":
-        r = orthoscheme_volume(math.pi / 4, math.pi / 4, math.pi / 4)
-        return VolumeReport(r.value, "kellerhals(pi/4,pi/4,pi/4)", r.abs_error_bound)
+        return _report(orthoscheme_volume(math.pi / 4, math.pi / 4, math.pi / 4),
+                       "kellerhals(pi/4,pi/4,pi/4)")
     if name == "DeltaPrime344":
-        r = orthoscheme_volume(math.pi / 3, math.pi / 4, math.pi / 4)
-        return VolumeReport(6.0 * r.value, "6*kellerhals(pi/3,pi/4,pi/4)",
-                            6.0 * r.abs_error_bound)
+        return _report(orthoscheme_volume(math.pi / 3, math.pi / 4, math.pi / 4),
+                       "6*kellerhals(pi/3,pi/4,pi/4)", 6.0)
     m = _PARAM_NAME.match(name)
     if m:
         fn = lobell_volume if m.group(1) == "Lobell" else antiprism_volume

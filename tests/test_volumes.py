@@ -254,3 +254,107 @@ def test_known_volumes_sit_inside_their_bounds():
 def test_family_identity_antiprism_equals_lobell():
     # A_4 and L_6 have the same volume in closed form
     assert antiprism_volume(4).value == pytest.approx(lobell_volume(6).value, abs=1e-12)
+
+
+# Test-side copies of the closed forms as each once propagated its own bound:
+# the terms summed in order, then scaled.  Every price must keep these bits.
+def _reference_sum(parts, scale):
+    total = bound = 0.0
+    for coeff, arg in parts:
+        r = lobachevsky(arg)
+        total += coeff * r.value
+        bound += abs(coeff) * r.abs_error_bound
+    return total * scale, bound * scale
+
+
+def _reference_orthoscheme(alpha, beta, gamma):
+    delta = orthoscheme_delta(alpha, beta, gamma)
+    half_pi = PI / 2
+    total, bound = _reference_sum(
+        ((1.0, alpha + delta), (-1.0, alpha - delta), (1.0, gamma + delta),
+         (-1.0, gamma - delta), (-1.0, half_pi - beta + delta),
+         (1.0, half_pi - beta - delta), (2.0, half_pi - delta)), 1.0)
+    return max(total / 4.0, 0.0), "kellerhals(alpha,beta,gamma)", bound / 4.0
+
+
+def _reference_lobell(n):
+    theta = PI / 2 - math.acos(1.0 / (2.0 * math.cos(PI / n)))
+    total, bound = _reference_sum(((2.0, theta), (1.0, theta + PI / n), (1.0, theta - PI / n),
+                                   (-1.0, 2.0 * theta - PI / 2)), 1.0)
+    return total * n / 2.0, "lobell(n)", bound * n / 2.0
+
+
+def _reference_antiprism(n):
+    r1, r2 = lobachevsky(PI / 4 + PI / (2 * n)), lobachevsky(PI / 4 - PI / (2 * n))
+    return (2.0 * n * (r1.value + r2.value), "antiprism(n)",
+            2.0 * n * (r1.abs_error_bound + r2.abs_error_bound))
+
+
+def _reference_named(name):
+    quarter = lobachevsky(PI / 4)
+    a4 = _reference_antiprism(4)
+    d344 = _reference_orthoscheme(PI / 3, PI / 4, PI / 4)
+    d444 = _reference_orthoscheme(PI / 4, PI / 4, PI / 4)
+    return {
+        "P32": (2.0 * quarter.value, "2*L(pi/4)", 2.0 * quarter.abs_error_bound),
+        "P28": (4.0 * quarter.value, "4*L(pi/4)", 4.0 * quarter.abs_error_bound),
+        "P34": (a4[0] / 4.0, "antiprism(4)/4", a4[2] / 4.0),
+        "Delta344": (d344[0], "kellerhals(pi/3,pi/4,pi/4)", d344[2]),
+        "Delta444": (d444[0], "kellerhals(pi/4,pi/4,pi/4)", d444[2]),
+        "DeltaPrime344": (6.0 * d344[0], "6*kellerhals(pi/3,pi/4,pi/4)", 6.0 * d344[2]),
+    }[name]
+
+
+def _bits(value, formula, bound):
+    return value.hex(), formula, bound.hex()
+
+
+def _same_price(got, reference, *args):
+    """The report `got(*args)` has the bits of `reference(*args)`, or both
+    raise DomainError with one message."""
+    try:
+        want = _bits(*reference(*args))
+    except DomainError as exc:
+        with pytest.raises(DomainError) as raised:
+            got(*args)
+        assert str(raised.value) == str(exc)
+        return
+    report = got(*args)
+    assert _bits(report.value, report.formula, report.abs_error_bound) == want, args
+
+
+def test_orthoscheme_keeps_its_bits_on_a_grid():
+    grid = [k * PI / 120 for k in range(1, 61)]
+    for alpha in grid:
+        for beta in grid:
+            for gamma in grid:
+                _same_price(orthoscheme_volume, _reference_orthoscheme, alpha, beta, gamma)
+
+
+def test_family_and_named_volumes_keep_their_bits():
+    for n in (*range(3, 3000), 10**5, 999_999, 10**6):
+        _same_price(antiprism_volume, _reference_antiprism, n)
+        if n >= 5:
+            _same_price(lobell_volume, _reference_lobell, n)
+    for name in ("P32", "P28", "P34", "Delta344", "Delta444", "DeltaPrime344"):
+        _same_price(named_volume, _reference_named, name)
+    for n in (7, 9, 10**6):
+        _same_price(named_volume, lambda name: _reference_lobell(n), f"Lobell({n})")
+        _same_price(named_volume, lambda name: _reference_antiprism(n), f"Antiprism({n})")
+    for got, factor, theta in ((v_oct, 8.0, PI / 4), (v_tet, 3.0, PI / 3)):
+        r = lobachevsky(theta)
+        assert _bits(got().value, "", got().abs_error_bound) == \
+            _bits(factor * r.value, "", factor * r.abs_error_bound)
+
+
+def test_census_stand_in_price_keeps_its_bits():
+    from raca.census import _type_volume, candidate_pairs
+
+    g = catalan_constant()
+    for pair in candidate_pairs():
+        k = 4 * pair.v_inf + pair.v_f
+        report, known = _type_volume("not a closed form", pair)
+        assert not known
+        coeff = (k - 8) / 8.0
+        assert _bits(report.value, report.formula, report.abs_error_bound) == _bits(
+            g.value / 8.0 * (k - 8), f"lower bound ({k} - 8)*G/8", abs(coeff) * g.abs_error_bound)
