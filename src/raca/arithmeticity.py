@@ -16,7 +16,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError, _read_json
+from .errors import DomainError, ResourceLimitError, _as_int, _read_json
 from .surd import SurdInteger
 
 INF = math.inf
@@ -117,9 +117,9 @@ def load_coxeter(source) -> CoxeterMatrix:
         return source
     data = _read_json(source)
     try:
-        size = int(data["size"])
+        size = _as_int(data["size"], "diagram input: size")
         raw = data["m"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"diagram input missing field: {exc}") from exc
     if not isinstance(raw, (list, tuple)) or \
             not all(isinstance(row, (list, tuple)) for row in raw):

@@ -50,6 +50,14 @@ def _finite_float(text):
     return value
 
 
+def _as_int(x, what):
+    """x, which must be an int and not a bool: a float or a string is an
+    input error, whatever value int() would give it."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _read_json(source):
     """Input data from a dict, a JSON object string, or a JSON file path.
 

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     PolyhedronError,
     ResourceLimitError,
+    _as_int,
     _read_json,
 )
 
@@ -94,8 +95,9 @@ def load_polyhedron(source) -> AbstractPolyhedron:
         return source
     data = _read_json(source)
     try:
-        return AbstractPolyhedron(int(data["vertex_count"]), data["faces"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return AbstractPolyhedron(
+            _as_int(data["vertex_count"], "polyhedron input: vertex_count"), data["faces"])
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"polyhedron input missing field: {exc}") from exc
 
 

@@ -10,17 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _as_int
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
-
-
-def _as_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise DomainError(f"{what} coefficient must be an integer, got {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -33,10 +27,10 @@ class SurdInteger:
     d: int = 0
 
     def __post_init__(self):
-        _as_int(self.a, "rational")
-        _as_int(self.b, "sqrt(2)")
-        _as_int(self.c, "sqrt(3)")
-        _as_int(self.d, "sqrt(6)")
+        _as_int(self.a, "rational coefficient")
+        _as_int(self.b, "sqrt(2) coefficient")
+        _as_int(self.c, "sqrt(3) coefficient")
+        _as_int(self.d, "sqrt(6) coefficient")
 
     # -- ring operations ----------------------------------------------------
 

@@ -184,6 +184,9 @@ def test_load_coxeter_sources(tmp_path):
         load_coxeter({"size": math.inf, "m": [[1]]})
     with pytest.raises(DomainError):  # JSON text cannot spell the label inf as a number
         load_coxeter('{"size": 2, "m": [[1, 1e400], [1e400, 1]]}')
+    for bad in (2.5, 2.0, "2", True, None):
+        with pytest.raises(DomainError, match="size must be an integer"):
+            load_coxeter({"size": bad, "m": [[1, 3], [3, 1]]})
 
 
 def test_is_arithmetic_on_reference_diagrams():

@@ -31,6 +31,9 @@ def files(tmp_path):
         ("d444", D444),
         ("badpoly", {"vertex_count": 5, "faces": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}),
         ("textcount", {"vertex_count": "abc", "faces": [[0, 1, 2]]}),
+        ("floatcount", {**catalog.p32().to_dict(), "vertex_count": 5.9}),
+        ("floatsize", {"size": 2.5, "m": [[1, 3], [3, 1]]}),
+        ("textsize", {"size": "2", "m": [[1, 3], [3, 1]]}),
         ("infcount", {"vertex_count": math.inf, "faces": [[0, 1, 2]]}),
         ("scalar_m", {"size": 2, "m": 7}),
         ("infsize", {"size": math.inf, "m": [[1]]}),
@@ -207,6 +210,11 @@ def test_check_error_paths(capsys, files, tmp_path):
     bad.write_text("{")
     assert main(["check", "stats", str(bad)]) == 3
     assert main(["check", "stats", files["textcount"]]) == 3
+    capsys.readouterr()
+    assert main(["check", "stats", files["floatcount"]]) == 3
+    assert main(["check", "andreev", files["floatcount"]]) == 3
+    assert capsys.readouterr().err == \
+        "error: polyhedron input: vertex_count must be an integer, got 5.9\n" * 2
     assert main(["check", "stats", files["infcount"]]) == 3
     assert main(["check", "stats", files["binary"]]) == 3
     assert main(["check", "andreev", files["binary"]]) == 3
@@ -288,6 +296,12 @@ def test_arith(capsys, files):
     assert main(["arith", "check", files["cube"]]) == 3
     assert main(["arith", "check", files["scalar_m"]]) == 3
     assert main(["arith", "check", files["infsize"]]) == 3
+    capsys.readouterr()
+    assert main(["arith", "check", files["floatsize"]]) == 3
+    assert main(["arith", "check", files["textsize"]]) == 3
+    assert capsys.readouterr().err == (
+        "error: diagram input: size must be an integer, got 2.5\n"
+        "error: diagram input: size must be an integer, got '2'\n")
     assert main(["arith", "check", files["binary"]]) == 3
     capsys.readouterr()
 
@@ -505,3 +519,4 @@ assert not loaded, loaded
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0.457982797089\n"
+

@@ -163,6 +163,9 @@ def test_load_polyhedron_sources(tmp_path):
         load_polyhedron({"vertex_count": "abc", "faces": [[0, 1, 2]]})
     with pytest.raises(DomainError):
         load_polyhedron({"vertex_count": math.inf, "faces": [[0, 1, 2]]})
+    for bad in (5.9, 32.0, "32", True, None):
+        with pytest.raises(DomainError, match="vertex_count must be an integer"):
+            load_polyhedron({**data, "vertex_count": bad})
 
 
 def test_prismatic_circuits():
