@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError, _as_int, _read_json
-from .surd import SurdInteger
+from .surd import ZERO, SurdInteger
 
 INF = math.inf
 
@@ -26,9 +26,10 @@ INF = math.inf
 # complete 9-node diagram with max_len=8 about 680,000
 _WALK_LIMIT = 2_000_000
 
-# label m -> doubled Gram entry -2*cos(pi/m)
+# label m -> doubled Gram entry -2*cos(pi/m); the diagonal label 1 gives 2
 _ENTRY = {
-    2: SurdInteger(0),
+    1: SurdInteger(2),
+    2: ZERO,
     3: SurdInteger(-1),
     4: SurdInteger(0, -1),
     6: SurdInteger(0, 0, -1),
@@ -76,9 +77,10 @@ class ExactGramMatrix:
         n = self.size
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise DomainError(f"Gram matrix must be {n}x{n}")
-        two = SurdInteger(2)
+        # gram_from_coxeter shares one object per label, the diagonal's too
+        two = _ENTRY[1]
         for i in range(n):
-            if self.entries[i][i] != two:
+            if self.entries[i][i] is not two and self.entries[i][i] != two:
                 raise DomainError(f"doubled Gram diagonal entry ({i},{i}) must be 2")
             for j in range(n):
                 entry, mirror = self.entries[i][j], self.entries[j][i]
@@ -153,9 +155,6 @@ def gram_from_coxeter(matrix) -> ExactGramMatrix:
     for i in range(n):
         row = []
         for j in range(n):
-            if i == j:
-                row.append(SurdInteger(2))
-                continue
             label = matrix.m[i][j]
             entry = _ENTRY.get(label)
             if entry is None:

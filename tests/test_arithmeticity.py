@@ -162,6 +162,12 @@ def test_matrix_validation():
         ExactGramMatrix(2, [[two, -SQRT2], [-SQRT3, two]])
     # equal entries need not be one object
     ExactGramMatrix(2, [[two, SurdInteger(0, 1)], [SurdInteger(0, 1), two]])
+    # nor need the diagonal 2 be the entry gram_from_coxeter shares
+    shared = gram_from_coxeter(load_coxeter(TRI463)).entries[0][0]
+    assert SurdInteger(2) is not shared
+    ExactGramMatrix(2, [[SurdInteger(2), ZERO], [ZERO, shared]])
+    with pytest.raises(DomainError, match=r"diagonal entry \(1,1\) must be 2"):
+        ExactGramMatrix(2, [[shared, ZERO], [ZERO, SurdInteger(2, 0, 0, 1)]])
 
 
 def test_load_coxeter_sources(tmp_path):
