@@ -520,3 +520,20 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0.457982797089\n"
 
+
+def test_import_loads_only_the_standard_library():
+    # the README promises no runtime dependencies; the test extra installs
+    # networkx, mpmath and hypothesis, so an import of one would pass unseen
+    script = """
+import sys
+before = set(sys.modules)
+import raca.cli
+print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "raca" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"raca"}
