@@ -258,13 +258,13 @@ def test_family_identity_antiprism_equals_lobell():
 
 # Test-side copies of the closed forms as each once propagated its own bound:
 # the terms summed in order, then scaled.  Every price must keep these bits.
-def _reference_sum(parts, scale):
+def _reference_sum(parts):
     total = bound = 0.0
     for coeff, arg in parts:
         r = lobachevsky(arg)
         total += coeff * r.value
         bound += abs(coeff) * r.abs_error_bound
-    return total * scale, bound * scale
+    return total, bound
 
 
 def _reference_orthoscheme(alpha, beta, gamma):
@@ -273,14 +273,14 @@ def _reference_orthoscheme(alpha, beta, gamma):
     total, bound = _reference_sum(
         ((1.0, alpha + delta), (-1.0, alpha - delta), (1.0, gamma + delta),
          (-1.0, gamma - delta), (-1.0, half_pi - beta + delta),
-         (1.0, half_pi - beta - delta), (2.0, half_pi - delta)), 1.0)
+         (1.0, half_pi - beta - delta), (2.0, half_pi - delta)))
     return max(total / 4.0, 0.0), "kellerhals(alpha,beta,gamma)", bound / 4.0
 
 
 def _reference_lobell(n):
     theta = PI / 2 - math.acos(1.0 / (2.0 * math.cos(PI / n)))
     total, bound = _reference_sum(((2.0, theta), (1.0, theta + PI / n), (1.0, theta - PI / n),
-                                   (-1.0, 2.0 * theta - PI / 2)), 1.0)
+                                   (-1.0, 2.0 * theta - PI / 2)))
     return total * n / 2.0, "lobell(n)", bound * n / 2.0
 
 
