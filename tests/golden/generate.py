@@ -12,7 +12,10 @@ validation error code, of `arith check` on the Coxeter diagrams in
 inputs/ under several --max-len bounds, all written here, and of every
 `lob`, `volume` and `bounds` leaf on the arguments in PRICES, with
 --precision 0 and 12 on each leaf's first arguments.  The --json files
-pin every value and error bound to the bit.
+pin every value and error bound to the bit.  The argparse side is pinned
+too: --help on every leaf, group and the root, --bogus, --precision 13,
+--precision 3, its abbreviation --prec 3 and --precision=3 on every leaf,
+and the usage errors in USAGE.
 tests/test_golden.py replays them.  From the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
@@ -81,6 +84,46 @@ PRICES = {
     "bounds compact": ("20", "19"),
     "bounds ideal": ("6",),
     "bounds mixed": ("1 18", "3 2", "0 2"),
+}
+
+# every leaf -> one well-formed argument list; each runs with --help and under
+# the option spellings in SPELLINGS, most of which argparse itself reports
+LEAVES = {
+    "lob": ["pi/4"],
+    "volume orthoscheme": ["pi/3", "pi/4", "pi/4"],
+    "volume lobell": ["5"],
+    "volume antiprism": ["3"],
+    "volume named": ["P32"],
+    "bounds compact": ["20"],
+    "bounds ideal": ["6"],
+    "bounds mixed": ["1", "18"],
+    "check andreev": ["inputs/P32.json"],
+    "check stats": ["inputs/P32.json"],
+    "census enumerate": ["--videal", "3", "--vfinite", "2"],
+    "census verify-theorem": [],
+    "arith check": ["inputs/coxeter_P32.json"],
+    "verify-theorem": [],
+}
+SPELLINGS = {"bogus": ["--bogus"], "precision13": ["--precision", "13"],
+             "precision3": ["--precision", "3"], "prec3": ["--prec", "3"],
+             "precision-eq3": ["--precision=3"]}
+# usage errors and help outside the leaves: the root, each group, a missing
+# command or argument, an extra positional and a repeated option (the last
+# value wins).  `raca frobnicate` is left to tests/test_cli.py: later Python
+# releases print an "invalid choice" list without quotes
+USAGE = {
+    "root_help": ["-h"],
+    "root_none": [],
+    "volume_help": ["volume", "--help"],
+    "bounds_help": ["bounds", "--help"],
+    "check_help": ["check", "--help"],
+    "census_help": ["census", "--help"],
+    "arith_help": ["arith", "--help"],
+    "volume_none": ["volume"],
+    "lob_none": ["lob"],
+    "volume-lobell_extra": ["volume", "lobell", "5", "extra"],
+    "census-enumerate_no-vfinite": ["census", "enumerate", "--videal", "3"],
+    "lob_repeated-precision": ["lob", "pi/4", "--precision", "3", "--precision", "5"],
 }
 
 
@@ -154,6 +197,14 @@ def cases():
             if i == 0:
                 for prec in ("0", "12"):
                     yield f"{stem}_precision{prec}", [*command, *words, "--precision", prec]
+    for leaf, arguments in LEAVES.items():
+        command = leaf.split()
+        stem = "-".join(command)
+        yield f"{stem}_help", [*command, "--help"]
+        for label, spelling in SPELLINGS.items():
+            yield f"{stem}_{label}", [*command, *arguments, *spelling]
+    for name, argv in USAGE.items():
+        yield f"usage_{name}", argv
 
 
 def run(argv):

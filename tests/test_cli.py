@@ -500,6 +500,22 @@ def test_usage_errors_map_to_input_code(capsys):
     capsys.readouterr()
 
 
+# the golden battery leaves these out: Python releases differ in how they
+# quote the list of choices
+@pytest.mark.parametrize("argv,word", [
+    (["frobnicate"], "frobnicate"),
+    (["volume", "frobnicate", "5"], "frobnicate"),
+    (["verify-theorem", "--condition3-reading", "other"], "other"),
+    (["census", "enumerate", "--videal", "3", "--vfinite", "2",
+      "--condition3-reading", "other"], "other"),
+], ids=["root", "group", "verify-theorem", "census-enumerate"])
+def test_invalid_choice_is_a_usage_error(capsys, argv, word):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: raca")
+    assert "error: argument" in err and "invalid choice:" in err and word in err
+
+
 def test_runs_without_scipy_numpy_or_networkx():
     # scipy is blocked, so even a lazy import inside a function fails loudly
     script = """
