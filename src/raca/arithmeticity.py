@@ -117,15 +117,18 @@ def load_coxeter(source) -> CoxeterMatrix:
     """
     if isinstance(source, CoxeterMatrix):
         return source
-    data = _read_json(source)
+    data = _read_json(source, "diagram input")
     try:
         size = _as_int(data["size"], "diagram input: size")
         raw = data["m"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DomainError(f"diagram input missing field: {exc}") from exc
-    if not isinstance(raw, (list, tuple)) or \
-            not all(isinstance(row, (list, tuple)) for row in raw):
-        raise DomainError("diagram field m must be a list of rows")
+    if not isinstance(raw, (list, tuple)):
+        raise DomainError(f"diagram field m must be a list of rows, got {type(raw).__name__}")
+    for i, row in enumerate(raw):
+        if not isinstance(row, (list, tuple)):
+            raise DomainError(f"diagram field m must be a list of rows, "
+                              f"got row {i} of type {type(row).__name__}")
 
     rows = []
     for row in raw:

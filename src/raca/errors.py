@@ -58,11 +58,13 @@ def _as_int(x, what):
     return x
 
 
-def _read_json(source):
-    """Input data from a dict, a JSON object string, or a JSON file path.
+def _read_json(source, what):
+    """The object `what` (say "polyhedron input") from a dict, a JSON object
+    string, or a JSON file path.
 
     NaN, Infinity, numbers that overflow a float, integers too long to
-    convert and nesting too deep to parse are input errors.
+    convert, nesting too deep to parse and JSON that is not an object are
+    input errors.
     """
     if isinstance(source, dict):
         return source
@@ -70,10 +72,14 @@ def _read_json(source):
     hooks = {"parse_constant": _reject_constant, "parse_float": _finite_float}
     try:
         if text.lstrip().startswith("{"):
-            return json.loads(text, **hooks)
-        with open(text) as fh:
-            return json.load(fh, **hooks)
+            data = json.loads(text, **hooks)
+        else:
+            with open(text) as fh:
+                data = json.load(fh, **hooks)
     except json.JSONDecodeError:
         raise
     except (RecursionError, ValueError) as exc:
         raise DomainError(f"JSON input: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data

@@ -93,12 +93,26 @@ def load_polyhedron(source) -> AbstractPolyhedron:
     """Build an AbstractPolyhedron from a dict, JSON string, or file path."""
     if isinstance(source, AbstractPolyhedron):
         return source
-    data = _read_json(source)
+    data = _read_json(source, "polyhedron input")
     try:
-        return AbstractPolyhedron(
-            _as_int(data["vertex_count"], "polyhedron input: vertex_count"), data["faces"])
-    except (KeyError, TypeError) as exc:
+        vertex_count = _as_int(data["vertex_count"], "polyhedron input: vertex_count")
+        faces = data["faces"]
+    except KeyError as exc:
         raise DomainError(f"polyhedron input missing field: {exc}") from exc
+    try:
+        return AbstractPolyhedron(vertex_count, faces)
+    except TypeError:  # faces, or one of them, is not a sequence
+        raise DomainError(_faces_error(faces)) from None
+
+
+def _faces_error(faces) -> str:
+    """Why AbstractPolyhedron could not read `faces` as a list of faces."""
+    if hasattr(faces, "__iter__"):
+        for i, face in enumerate(faces):
+            if not hasattr(face, "__iter__"):
+                return (f"polyhedron input: face {i} must be a list of vertices, "
+                        f"got {type(face).__name__}")
+    return f"polyhedron input: faces must be a list of faces, got {type(faces).__name__}"
 
 
 def _face_edges(face):

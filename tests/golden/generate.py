@@ -15,7 +15,7 @@ inputs/ under several --max-len bounds, all written here, and of every
 pin every value and error bound to the bit.  The argparse side is pinned
 too: --help on every leaf, group and the root, --bogus, --precision 13,
 --precision 3, its abbreviation --prec 3 and --precision=3 on every leaf,
-and the usage errors in USAGE.
+and the usage errors in USAGE.  LOADER holds two malformed inputs.
 tests/test_golden.py replays them.  From the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
@@ -84,6 +84,12 @@ PRICES = {
     "bounds compact": ("20", "19"),
     "bounds ideal": ("6",),
     "bounds mixed": ("1 18", "3 2", "0 2"),
+}
+
+# loader errors: a field of the wrong type, and JSON that is not an object
+LOADER = {
+    "check-stats_faces-int": ["check", "stats", '{"vertex_count": 4, "faces": 5}'],
+    "check-stats_not-object": ["check", "stats", "inputs/not_object.json"],
 }
 
 # every leaf -> one well-formed argument list; each runs with --help and under
@@ -197,6 +203,7 @@ def cases():
             if i == 0:
                 for prec in ("0", "12"):
                     yield f"{stem}_precision{prec}", [*command, *words, "--precision", prec]
+    yield from LOADER.items()
     for leaf, arguments in LEAVES.items():
         command = leaf.split()
         stem = "-".join(command)
@@ -221,6 +228,7 @@ def write():
     (HERE / "inputs").mkdir(exist_ok=True)
     for name, payload in {**inputs(), **diagrams()}.items():
         (HERE / "inputs" / f"{name}.json").write_text(json.dumps(payload) + "\n")
+    (HERE / "inputs" / "not_object.json").write_text("[1, 2]\n")
     manifest = []
     for name, argv in cases():
         code, out, err = run(argv)

@@ -324,6 +324,30 @@ def test_unreadable_json_is_an_input_error(capsys, tmp_path, payload, command):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,payload,message", [
+    (["check", "stats"], '{"vertex_count": 4, "faces": 5}',
+     "polyhedron input: faces must be a list of faces, got int"),
+    (["check", "andreev"], '{"vertex_count": 4, "faces": [[0, 1, 2], 7]}',
+     "polyhedron input: face 1 must be a list of vertices, got int"),
+    (["check", "stats"], "[1, 2]", "polyhedron input must be a JSON object, got list"),
+    (["check", "andreev"], '"P32"', "polyhedron input must be a JSON object, got str"),
+    (["check", "stats"], '{"faces": []}', "polyhedron input missing field: 'vertex_count'"),
+    (["check", "stats"], '{"vertex_count": 4}', "polyhedron input missing field: 'faces'"),
+    (["arith", "check"], "[1, 2]", "diagram input must be a JSON object, got list"),
+    (["arith", "check"], "null", "diagram input must be a JSON object, got NoneType"),
+    (["arith", "check"], '{"size": 2, "m": 7}', "diagram field m must be a list of rows, got int"),
+    (["arith", "check"], '{"size": 2, "m": [[1, 3], 5]}',
+     "diagram field m must be a list of rows, got row 1 of type int"),
+    (["arith", "check"], '{"m": []}', "diagram input missing field: 'size'"),
+], ids=["faces-int", "face-int", "list", "str", "no-vertex_count", "no-faces",
+        "diagram-list", "diagram-null", "m-int", "row-int", "no-size"])
+def test_loader_errors_name_the_field_and_its_type(capsys, tmp_path, command, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(payload)
+    assert main([*command, str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 _LABELS = st.sampled_from([1, 2, 3, 4, 5, 6, "inf", "INF", "seven", 0, -3, 2.0, True, None])
 _DIAGRAMS = st.integers(0, 6).flatmap(lambda n: st.fixed_dictionaries({
     "size": st.sampled_from([n, n + 1, "x"]),
