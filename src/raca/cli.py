@@ -5,11 +5,20 @@ verification that ran and came out false), 3 input error, 4 resource
 limit.  All output is deterministic; --json switches any subcommand to a
 stable JSON schema with sorted keys.
 
-Each leaf command is declared once, by one `_leaf` call that names its
-arguments, handler and computation; no handler branches on the subcommand.
-No handler prints: each returns (exit code, JSON payload, plain text), and
-`main` prints the payload under --json and the text otherwise.
-`main` builds only the subtree of the command it is given, not the full parser.
+Each leaf command is declared once, as one row of `_LEAVES`: its path, help,
+handler, computation, default --precision and arguments.  No handler
+branches on the subcommand, and none prints: each returns (exit code, JSON
+payload, plain text), and `main` prints the payload under --json and the
+text otherwise.
+
+Two readers turn a command line into a handler's arguments, both from those
+rows.  `_direct` reads a well-formed command (a leaf's exact path, then its
+positionals and exact option strings, each option at most once and with a
+value that does not start with "-") into the Namespace argparse would
+return, without building a parser.  Anything else goes to argparse: help,
+usage errors, abbreviated options, `=` forms, `--`, repeats and values that
+do not convert.  `main` builds only the subtree of the command it is given,
+and argparse writes every help text, usage line and error message.
 """
 
 from __future__ import annotations
@@ -171,86 +180,71 @@ def _cmd_arith(args):
 
 
 _INT = {"type": int}
+_READING = ("--condition3-reading", {
+    "default": READING_DISJOINT, "choices": (READING_DISJOINT, READING_DISTINCT),
+    "help": "quantifier reading for realizability condition 3"})
+
+# every leaf command, once: path -> (help, handler, computation, default
+# --precision, arguments...).  An argument is the name and keywords of one
+# add_argument call, or the bare name of a positional read as text; --json
+# and --precision follow the listed ones.
+_LEAVES = {
+    "lob": ("Lobachevsky function value", _cmd_lob, None, 12,
+            ("theta", {"help": "angle (decimal or pi/<k>)"})),
+    "volume orthoscheme": ("volume of R(alpha, beta, gamma)", _cmd_volume,
+                           lambda a: orthoscheme_volume(
+                               parse_angle(a.alpha), parse_angle(a.beta), parse_angle(a.gamma)),
+                           6, "alpha", "beta", "gamma"),
+    "volume lobell": ("lobell family volume", _cmd_volume,
+                      lambda a: lobell_volume(a.n), 6, ("n", _INT)),
+    "volume antiprism": ("antiprism family volume", _cmd_volume,
+                         lambda a: antiprism_volume(a.n), 6, ("n", _INT)),
+    "volume named": ("volume of a named polyhedron", _cmd_volume,
+                     lambda a: named_volume(a.name), 6, "name"),
+    "bounds compact": ("compact, V vertices", _cmd_bounds,
+                       lambda a: atkinson_bounds_compact(a.vertices), 6, ("vertices", _INT)),
+    "bounds ideal": ("ideal, V vertices", _cmd_bounds,
+                     lambda a: atkinson_bounds_ideal(a.vertices), 6, ("vertices", _INT)),
+    "bounds mixed": ("mixed vertex counts", _cmd_bounds,
+                     lambda a: mixed_bounds(a.videal, a.vfinite), 6,
+                     ("videal", _INT), ("vfinite", _INT)),
+    "check andreev": ("realizability conditions", _cmd_andreev, None, 6,
+                      "file", _READING),
+    "check stats": ("combinatorial statistics", _cmd_stats, None, 6, "file"),
+    "census enumerate": ("enumerate realizable types", _cmd_census_enumerate, None, 6,
+                         ("--videal", {"type": int, "required": True}),
+                         ("--vfinite", {"type": int, "required": True}), _READING),
+    "census verify-theorem": ("verify minimal volume", _cmd_verify_theorem, None, 6, _READING),
+    "arith check": ("Vinberg cyclic-product criterion", _cmd_arith, None, 6,
+                    "file", ("--max-len", _INT)),
+    "verify-theorem": ("alias of census verify-theorem", _cmd_verify_theorem, None, 6,
+                       _READING),
+}
+# the top-level commands, in the order of the usage line -> the help of a
+# group command, whose leaves are the paths that start with its name, or
+# None for a leaf
+_COMMANDS = {"lob": None, "volume": "closed-form volumes",
+             "bounds": "volume bounds from vertex counts",
+             "check": "combinatorial checks on a polyhedron file",
+             "census": "combinatorial census", "arith": "arithmeticity of a Coxeter diagram",
+             "verify-theorem": None}
 
 
-def _leaf(kinds, name, help, handler, arguments=(), *, compute=None,
-          reading=False, precision=6) -> None:
-    """Declare one leaf command: its arguments in order, then the shared
-    --condition3-reading (if `reading`), --json and --precision options."""
+def _arguments(precision, *arguments):
+    """The name and keywords of each argument of a leaf, in order, --json
+    and --precision last."""
+    return [*((arg, {}) if isinstance(arg, str) else arg for arg in arguments),
+            ("--json", {"action": "store_true", "help": "emit JSON"}),
+            ("--precision", {"type": _precision_type, "default": precision, "metavar": "D",
+                             "help": "decimal places for plain output (max 12)"})]
+
+
+def _leaf(kinds, name, help, handler, compute, precision, *arguments) -> None:
+    """Build the argparse parser of one leaf from its declaration."""
     sub = kinds.add_parser(name, help=help)
-    for flag, options in arguments:
+    for flag, options in _arguments(precision, *arguments):
         sub.add_argument(flag, **options)
-    if reading:
-        sub.add_argument("--condition3-reading", default=READING_DISJOINT,
-                         choices=(READING_DISJOINT, READING_DISTINCT),
-                         help="quantifier reading for realizability condition 3")
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--precision", type=_precision_type, default=precision, metavar="D",
-                     help="decimal places for plain output (max 12)")
     sub.set_defaults(func=handler, compute=compute)
-
-
-def _kinds(commands, name, help, dest):
-    return commands.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
-
-
-def _lob(commands):
-    _leaf(commands, "lob", "Lobachevsky function value", _cmd_lob,
-          [("theta", {"help": "angle (decimal or pi/<k>)"})], precision=12)
-
-
-def _volume(commands):
-    volume = _kinds(commands, "volume", "closed-form volumes", "volume_kind")
-    _leaf(volume, "orthoscheme", "volume of R(alpha, beta, gamma)", _cmd_volume,
-          [("alpha", {}), ("beta", {}), ("gamma", {})],
-          compute=lambda a: orthoscheme_volume(
-              parse_angle(a.alpha), parse_angle(a.beta), parse_angle(a.gamma)))
-    _leaf(volume, "lobell", "lobell family volume", _cmd_volume, [("n", _INT)],
-          compute=lambda a: lobell_volume(a.n))
-    _leaf(volume, "antiprism", "antiprism family volume", _cmd_volume, [("n", _INT)],
-          compute=lambda a: antiprism_volume(a.n))
-    _leaf(volume, "named", "volume of a named polyhedron", _cmd_volume, [("name", {})],
-          compute=lambda a: named_volume(a.name))
-
-
-def _bounds(commands):
-    bounds = _kinds(commands, "bounds", "volume bounds from vertex counts", "bounds_kind")
-    _leaf(bounds, "compact", "compact, V vertices", _cmd_bounds, [("vertices", _INT)],
-          compute=lambda a: atkinson_bounds_compact(a.vertices))
-    _leaf(bounds, "ideal", "ideal, V vertices", _cmd_bounds, [("vertices", _INT)],
-          compute=lambda a: atkinson_bounds_ideal(a.vertices))
-    _leaf(bounds, "mixed", "mixed vertex counts", _cmd_bounds,
-          [("videal", _INT), ("vfinite", _INT)],
-          compute=lambda a: mixed_bounds(a.videal, a.vfinite))
-
-
-def _check(commands):
-    check = _kinds(commands, "check", "combinatorial checks on a polyhedron file", "check_kind")
-    _leaf(check, "andreev", "realizability conditions", _cmd_andreev, [("file", {})], reading=True)
-    _leaf(check, "stats", "combinatorial statistics", _cmd_stats, [("file", {})])
-
-
-def _verify_theorem(kinds, help="alias of census verify-theorem"):
-    _leaf(kinds, "verify-theorem", help, _cmd_verify_theorem, reading=True)
-
-
-def _census(commands):
-    census = _kinds(commands, "census", "combinatorial census", "census_kind")
-    _leaf(census, "enumerate", "enumerate realizable types", _cmd_census_enumerate,
-          [("--videal", {"type": int, "required": True}),
-           ("--vfinite", {"type": int, "required": True})], reading=True)
-    _verify_theorem(census, "verify minimal volume")
-
-
-def _arith(commands):
-    arith = _kinds(commands, "arith", "arithmeticity of a Coxeter diagram", "arith_kind")
-    _leaf(arith, "check", "Vinberg cyclic-product criterion", _cmd_arith,
-          [("file", {}), ("--max-len", _INT)])
-
-
-# each top-level command's declaration, in the order of the usage line
-_COMMANDS = {"lob": _lob, "volume": _volume, "bounds": _bounds, "check": _check,
-             "census": _census, "arith": _arith, "verify-theorem": _verify_theorem}
 
 
 def _parser(names, metavar=None) -> argparse.ArgumentParser:
@@ -259,12 +253,74 @@ def _parser(names, metavar=None) -> argparse.ArgumentParser:
         description="Right-angled polyhedra: volumes, census, arithmeticity.")
     commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        _COMMANDS[name](commands)
+        if _COMMANDS[name] is None:
+            _leaf(commands, name, *_LEAVES[name])
+            continue
+        kinds = commands.add_parser(name, help=_COMMANDS[name]).add_subparsers(
+            dest=f"{name}_kind", required=True)
+        for path, leaf in _LEAVES.items():
+            group, _, kind = path.partition(" ")
+            if group == name:
+                _leaf(kinds, kind, *leaf)
     return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     return _parser(_COMMANDS)
+
+
+def _direct(argv):
+    """The Namespace argparse returns for argv, read straight from the leaf's
+    declaration; None unless argv is a leaf's exact path, then its
+    positionals and exact option strings, each at most once and with a value
+    that does not start with "-", and every value converts."""
+    path = argv[:2] if argv[:1] and _COMMANDS.get(argv[0]) else argv[:1]
+    leaf = _LEAVES.get(" ".join(path))
+    if leaf is None or " " in "".join(path):
+        return None
+    _, handler, compute, precision, *arguments = leaf
+    values = {"command": path[0], "func": handler, "compute": compute}
+    if len(path) == 2:
+        values[f"{path[0]}_kind"] = path[1]
+    options, positionals, given = {}, [], []
+    for flag, spec in _arguments(precision, *arguments):
+        dest = flag.lstrip("-").replace("-", "_")
+        if flag.startswith("-"):
+            options[flag] = dest, spec
+            values[dest] = spec.get("default", False if "action" in spec else None)
+        else:
+            positionals.append((dest, spec))
+    words = iter(argv[len(path):])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            given.append((*positionals.pop(0), word))
+        elif word not in options:  # an unknown option, a repeated one, "-" or "--"
+            return None
+        else:
+            dest, spec = options.pop(word)
+            if "action" in spec:  # --json
+                values[dest] = True
+                continue
+            word = next(words, "-")
+            if word.startswith("-"):
+                return None
+            given.append((dest, spec, word))
+    for _, spec in options.values():
+        if spec.get("required"):
+            return None
+    if positionals:
+        return None
+    try:  # as argparse converts a value: by its type, then the choices test
+        for dest, spec, word in given:
+            value = spec.get("type", str)(word)
+            if value not in spec.get("choices", (value,)):
+                return None
+            values[dest] = value
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -273,17 +329,19 @@ def main(argv=None) -> int:
     # a leading space keeps argparse from reading "-pi/4" or "-1e3" as an
     # option; parse_angle and int() strip it again
     argv = [" " + arg if _NEGATED.match(arg) else arg for arg in argv]
-    if argv and argv[0] in _COMMANDS:
-        # the metavar keeps every command in the usage line of a root error
-        parser = _parser(argv[:1], metavar="{" + ",".join(_COMMANDS) + "}")
-    else:  # no command, or an unknown one: the full parser reports it
-        parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit status 2 for usage errors; that slot is taken
-        # by mathematical failures, so usage problems are reported as 3
-        return 0 if exc.code in (0, None) else 3
+    args = _direct(argv)
+    if args is None:  # help, a usage error or a form only argparse reads
+        if argv and argv[0] in _COMMANDS:
+            # the metavar keeps every command in the usage line of a root error
+            parser = _parser(argv[:1], metavar="{" + ",".join(_COMMANDS) + "}")
+        else:  # no command, or an unknown one: the full parser reports it
+            parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse uses exit status 2 for usage errors; that slot is taken
+            # by mathematical failures, so usage problems are reported as 3
+            return 0 if exc.code in (0, None) else 3
     try:
         code, payload, text = args.func(args)
         print(json.dumps(payload, sort_keys=True) if args.json else text)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -472,7 +473,36 @@ def test_leaf_contract(capsys, files, argv, keys, options):
     assert re.findall(r"^  (?:-h, )?(--[\w-]+)", section, re.M) == ["--help", *options]
 
 
-_DECLARED = [  # argv, number of leaf commands main() declares for it
+def _count_leaves(monkeypatch):
+    """The names of the argparse leaf parsers main() builds from here on."""
+    declared, leaf = [], cli._leaf
+
+    def counting_leaf(kinds, name, *args, **kwargs):
+        declared.append(name)
+        leaf(kinds, name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_leaf", counting_leaf)
+    return declared
+
+
+_SPELLED = [[], ["--json"], ["--precision", "3"], ["--json", "--precision", "0"]]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in _LEAVES],
+                         ids=[" ".join(_leaf_path(argv)) for argv, _, _ in _LEAVES])
+def test_well_formed_commands_build_no_parser(capsys, monkeypatch, files, argv):
+    declared = _count_leaves(monkeypatch)
+    argv = [files.get(arg, arg) for arg in argv]
+    path = _leaf_path(argv)
+    for flags in _SPELLED:
+        assert main([*argv, *flags]) == 0
+        # the options before the positionals, as argparse also reads them
+        assert main([*path, *flags, *argv[len(path):]]) == 0
+    capsys.readouterr()
+    assert declared == []
+
+
+_DECLARED = [  # argv, number of leaf commands argparse builds for its help or a usage error
     (["lob", "pi/4"], 1),
     (["volume", "named", "P32"], 4),
     (["bounds", "ideal", "6"], 3),
@@ -489,16 +519,12 @@ _DECLARED = [  # argv, number of leaf commands main() declares for it
 @pytest.mark.parametrize("argv,leaves", _DECLARED,
                          ids=[" ".join(argv[:2]) or "(none)" for argv, _ in _DECLARED])
 def test_main_declares_only_the_invoked_command(capsys, monkeypatch, files, argv, leaves):
-    declared, leaf = [], cli._leaf
-
-    def counting_leaf(kinds, name, *args, **kwargs):
-        declared.append(name)
-        leaf(kinds, name, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "_leaf", counting_leaf)
-    main([files.get(arg, arg) for arg in argv])
-    capsys.readouterr()
-    assert len(declared) == leaves, declared
+    declared = _count_leaves(monkeypatch)
+    for extra in (["--help"], ["--bogus"], ["--precision", "13"]):
+        declared.clear()
+        main([*(files.get(arg, arg) for arg in argv), *extra])
+        capsys.readouterr()
+        assert len(declared) == leaves, declared
 
 
 _PARITY = [[*_leaf_path(argv), "--help"] for argv, _, _ in _LEAVES] + [
@@ -514,6 +540,107 @@ def test_subtree_parser_matches_the_full_parser(capsys, monkeypatch, argv):
     full = cli._parser
     monkeypatch.setattr(cli, "_parser", lambda names, metavar=None: full(cli._COMMANDS))
     assert subtree == (main(argv), capsys.readouterr())
+
+
+def _shielded(argv):
+    """argv as main() hands it to both readers."""
+    return [" " + arg if cli._NEGATED.match(arg) else arg for arg in argv]
+
+
+def _reader_agrees(argv):
+    """Whether the direct reader accepts argv; when it does, its Namespace
+    must be the one argparse returns."""
+    direct = cli._direct(_shielded(argv))
+    if direct is not None:
+        try:
+            parsed = cli.build_parser().parse_args(_shielded(argv))
+        except SystemExit:  # not an Exception: hypothesis would not report it
+            pytest.fail(f"argparse rejects {argv}, which the direct reader accepts")
+        assert vars(direct) == vars(parsed)
+    return direct is not None
+
+
+def _main_without_the_direct_reader_agrees(capsys, monkeypatch, argv):
+    both = main(list(argv)), capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_direct", lambda argv: None)
+        assert (main(list(argv)), capsys.readouterr()) == both
+
+
+_GOLDEN_ARGV = [case["argv"] for case in json.loads(
+    (pathlib.Path(__file__).resolve().parent / "golden" / "cases.json").read_text())]
+
+
+def test_direct_reader_matches_argparse_on_the_golden_battery(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent / "golden")
+    accepted = [argv for argv in _GOLDEN_ARGV if _reader_agrees(argv)]
+    # every plain and --json command of the battery, and no help or --bogus
+    assert 200 < len(accepted) < len(_GOLDEN_ARGV)
+    assert not any(word in argv for argv in accepted for word in ("--help", "--bogus", "--prec"))
+    for argv in _GOLDEN_ARGV:
+        _main_without_the_direct_reader_agrees(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in _LEAVES] + _PARITY,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_direct_reader_matches_argparse_on_the_leaves(capsys, monkeypatch, files, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [files.get(arg, arg) for arg in argv]
+    assert _reader_agrees(argv) == ("--help" not in argv and argv in [
+        [files.get(arg, arg) for arg in leaf] for leaf, _, _ in _LEAVES])
+    _main_without_the_direct_reader_agrees(capsys, monkeypatch, argv)
+
+
+_VALUES = {"--precision": "3", "--condition3-reading": "distinct_edges", "--max-len": "2",
+           "--videal": "3", "--vfinite": "2"}
+
+
+def _vocabulary(options):
+    """Runs of words a command line of a leaf with these options may hold:
+    each option with a good value, which the direct reader reads, and runs
+    that argparse alone reads."""
+    good = [[option, _VALUES[option]] if option in _VALUES else [option] for option in options]
+    other = [[word] for word in ("extra", "3", "13", "-1", "x", "", "-", "--", "-h", "--help",
+                                 "--bogus", "-pi/4", "distinct_edges")]
+    for option in options:
+        other += [[option], [option[:-2], "3"], [option[:5]], [f"{option}=3"],
+                  [f"{option}=distinct_edges"], [option, "-pi/4"], [option, "13"]]
+    return good, other
+
+
+@st.composite
+def _command_lines(draw):
+    """A leaf's well-formed argv with runs of its vocabulary inserted: good
+    ones at most once each, then up to two others."""
+    argv, _, options = draw(st.sampled_from(_LEAVES))
+    good, other = _vocabulary(options)
+    words = argv[len(_leaf_path(argv)):]
+    runs = draw(st.lists(st.sampled_from(good), unique_by=lambda run: run[0]))
+    for run in runs + draw(st.lists(st.sampled_from(other), max_size=2)):
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = run
+    return [*_leaf_path(argv), *words]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_command_lines())
+@example(["lob", "pi/4", "--precision", "3", "--precision", "5"])
+@example(["lob", "--json", "pi/4"])
+@example(["volume", "orthoscheme", "pi/3", "--precision", "2", "pi/4", "-pi/4"])
+@example(["census", "enumerate", "--vfinite", "2", "--videal", "3", "--condition3-reading",
+          "distinct_edges"])
+@example(["check", "andreev", "--condition3-reading", "--json", "p32"])
+@example(["verify-theorem", "--condition3-reading", "other"])
+@example(["lob", "-h"])
+@example(["lob", "-"])
+@example(["volume lobell", "5"])
+def test_direct_reader_matches_argparse_on_any_spelling(capsys, monkeypatch, files, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [files.get(arg, arg) for arg in argv]
+    _reader_agrees(argv)
+    _main_without_the_direct_reader_agrees(capsys, monkeypatch, argv)
 
 
 def test_usage_errors_map_to_input_code(capsys):
