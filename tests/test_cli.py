@@ -567,13 +567,13 @@ def _main_without_the_direct_reader_agrees(capsys, monkeypatch, argv):
         assert (main(list(argv)), capsys.readouterr()) == both
 
 
-_GOLDEN_ARGV = [case["argv"] for case in json.loads(
-    (pathlib.Path(__file__).resolve().parent / "golden" / "cases.json").read_text())]
+_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+_GOLDEN_ARGV = [case["argv"] for case in json.loads((_GOLDEN / "cases.json").read_text())]
 
 
 def test_direct_reader_matches_argparse_on_the_golden_battery(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent / "golden")
+    monkeypatch.chdir(_GOLDEN)
     accepted = [argv for argv in _GOLDEN_ARGV if _reader_agrees(argv)]
     # every plain and --json command of the battery, and no help or --bogus
     assert 200 < len(accepted) < len(_GOLDEN_ARGV)
