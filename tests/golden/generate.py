@@ -15,8 +15,10 @@ inputs/ under several --max-len bounds, all written here, and of every
 pin every value and error bound to the bit.  The argparse side is pinned
 too: --help on every leaf, group and the root, --bogus, --precision 13,
 --precision 3, its abbreviation --prec 3 and --precision=3 on every leaf,
-and the usage errors in USAGE.  LOADER holds two malformed inputs.
-tests/test_golden.py replays them.  From the repository root:
+and the usage errors in USAGE.  LOADER holds two malformed inputs, and
+UNREADABLE the input files that `check stats`, `check andreev` and `arith
+check` each reject before any check runs.  tests/test_golden.py replays
+them.  From the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
 """
@@ -67,10 +69,12 @@ NONARITH9 = [[1, 3, 4, 2, 2, 3, 3, 2, 4],
              [2, 3, 2, 4, 2, 2, 2, 1, 2],
              [4, 2, 2, 2, 6, "inf", 2, 2, 1]]
 
-# diagram file -> the --max-len bounds it runs under (None: the default)
+# diagram file -> the --max-len bounds it runs under (None: the default);
+# k40 under --max-len 8 stops at the cycle walk's step limit (exit 4)
 ARITH = {"coxeter_P32": (None, 3, 1),
          "coxeter_nonarith9": (None, 4, 3, 2),
-         "coxeter_asymmetric": (None,)}
+         "coxeter_asymmetric": (None,),
+         "coxeter_k40": (8,)}
 
 # each lob, volume and bounds leaf -> its argument lists; the last of lob,
 # lobell, named, compact and mixed is an input error (exit 3)
@@ -90,6 +94,29 @@ PRICES = {
 LOADER = {
     "check-stats_faces-int": ["check", "stats", '{"vertex_count": 4, "faces": 5}'],
     "check-stats_not-object": ["check", "stats", "inputs/not_object.json"],
+}
+
+
+def _torus(k):
+    """Face list of the k x k square torus: every vertex of degree 4."""
+    def at(i, j):
+        return (i % k) * k + j % k
+    return {"vertex_count": k * k,
+            "faces": [[at(i, j), at(i + 1, j), at(i + 1, j + 1), at(i, j + 1)]
+                      for i in range(k) for j in range(k)]}
+
+
+# input file -> its text; each goes to check stats, check andreev and arith
+# check, which read the same JSON and each name their own missing field.
+# Lobell(33) has 132 vertices, over the validation cap (exit 4); the torus
+# fails the Euler check (exit 3)
+UNREADABLE = {
+    "malformed": '{"vertex_count": 4, "faces": [[0, 1, 2]\n',
+    "nan": '{"vertex_count": NaN, "size": NaN, "faces": [], "m": []}\n',
+    "missing-field": '{"faces": [[0, 1, 2]], "m": [[1]]}\n',
+    "deep": "[" * 100_000 + "\n",
+    "lobell33": json.dumps(catalog.lobell(33).to_dict()) + "\n",
+    "torus4": json.dumps(_torus(4)) + "\n",
 }
 
 # every leaf -> one well-formed argument list; each runs with --help and under
@@ -154,7 +181,9 @@ def diagrams():
     """File name (without .json) -> Coxeter diagram dict of every arith input."""
     return {"coxeter_P32": p32_diagram(),
             "coxeter_nonarith9": {"size": 9, "m": NONARITH9},
-            "coxeter_asymmetric": {"size": 3, "m": [[1, 3, 2], [4, 1, 2], [2, 2, 1]]}}
+            "coxeter_asymmetric": {"size": 3, "m": [[1, 3, 2], [4, 1, 2], [2, 2, 1]]},
+            "coxeter_k40": {"size": 40, "m": [[1 if i == j else 3 for j in range(40)]
+                                             for i in range(40)]}}
 
 
 def inputs():
@@ -204,6 +233,11 @@ def cases():
                 for prec in ("0", "12"):
                     yield f"{stem}_precision{prec}", [*command, *words, "--precision", prec]
     yield from LOADER.items()
+    for name in UNREADABLE:
+        for command in (["check", "stats"], ["check", "andreev"], ["arith", "check"]):
+            for form, extra in FORMS:
+                yield (f"{'-'.join(command)}_unreadable-{name}_{form}",
+                       [*command, f"inputs/unreadable_{name}.json", *extra])
     for leaf, arguments in LEAVES.items():
         command = leaf.split()
         stem = "-".join(command)
@@ -229,6 +263,8 @@ def write():
     for name, payload in {**inputs(), **diagrams()}.items():
         (HERE / "inputs" / f"{name}.json").write_text(json.dumps(payload) + "\n")
     (HERE / "inputs" / "not_object.json").write_text("[1, 2]\n")
+    for name, text in UNREADABLE.items():
+        (HERE / "inputs" / f"unreadable_{name}.json").write_text(text)
     manifest = []
     for name, argv in cases():
         code, out, err = run(argv)
