@@ -93,6 +93,8 @@ class ExactGramMatrix:
 
 @dataclass(frozen=True)
 class ArithmeticityResult:
+    """Verdict of the cyclic-product criterion, with the first failing cycle."""
+
     arithmetic: bool
     witness_cycle: tuple | None
     witness_product: SurdInteger | None

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from . import catalog
 from .errors import DomainError, RacaError
 from .lobachevsky import catalan_constant, v_oct
 from .polyhedra import (
@@ -34,7 +33,6 @@ from .polyhedra import (
     _lemma_rem,
     _map_from_certificate,
     _new_map,
-    canonical_form,
 )
 from .volumes import VolumeReport, _report, lobell_volume, mixed_lower_bound, named_volume
 
@@ -90,6 +88,8 @@ class CandidatePair:
 
 @dataclass(frozen=True)
 class CensusRecord:
+    """The realizable types of one candidate pair under one reading of condition 3."""
+
     pair: CandidatePair
     realizable_types: tuple      # sorted canonical certificates
     volume: VolumeReport | None  # attached when unique with a closed form
@@ -112,6 +112,8 @@ class CensusRecord:
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """Outcome of the minimal-volume verification, with every failed check."""
+
     minimal_volume: float
     witness: str | None
     uniqueness: bool
@@ -417,12 +419,14 @@ def _check_workers(workers):
             raise DomainError(f"RACA_THREADS must be an integer, got {cap_text!r}")
 
 
-@lru_cache(maxsize=None)
 def _closed_form_names() -> dict:
+    """Certificate -> name of each census type with a closed-form volume:
+    `canonical_form` of `catalog.p32()`, `p28()` and `p34()`, which
+    tests/test_census.py recomputes."""
     return {
-        canonical_form(catalog.p32()): "P32",
-        canonical_form(catalog.p28()): "P28",
-        canonical_form(catalog.p34()): "P34",
+        "c5|1,2,3;0,3,4,2;0,1,4,3;0,2,4,1;1,3,2": "P32",
+        "c10|1,2,3;0,4,5;0,5,6;0,6,7,4;1,3,8;1,8,9,2;2,9,3;3,9,8;4,7,5;5,7,6": "P28",
+        "c7|1,2,3;0,3,4,5;0,5,6;0,6,4,1;1,3,6,5;1,4,2;2,4,3": "P34",
     }
 
 

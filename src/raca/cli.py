@@ -14,23 +14,22 @@ text otherwise.
 Two readers turn a command line into a handler's arguments, both from those
 rows.  `_direct` reads a well-formed command (a leaf's exact path, then its
 positionals and exact option strings, each option at most once and with a
-value that does not start with "-") into the Namespace argparse would
-return, without building a parser.  Anything else goes to argparse: help,
+value that does not start with "-") into a namespace holding what argparse
+would return, without argparse.  Anything else goes to argparse: help,
 usage errors, abbreviated options, `=` forms, `--`, repeats and values that
 do not convert.  `main` builds only the subtree of the command it is given,
 and argparse writes every help text, usage line and error message.
+argparse, and gettext and locale through it, is imported only there, for
+help and usage errors, so a well-formed command never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-# argparse's gettext imports locale when the first parser is built;
-# importing it here keeps that cost at import time instead of inside main()
-import locale  # noqa: F401
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 from .arithmeticity import gram_from_coxeter, is_arithmetic_noncocompact, load_coxeter
 from .census import CandidatePair, enumerate_types, verify_minimality
@@ -89,11 +88,21 @@ def _precision_type(text) -> int:
     """argparse type of --precision: checked on every command, --json included."""
     try:
         prec = int(text)
+        if 0 <= prec <= 12:
+            return prec
+        message = "must be between 0 and 12"
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if prec < 0 or prec > 12:
-        raise argparse.ArgumentTypeError("must be between 0 and 12")
-    return prec
+        message = f"invalid int value: {text!r}"
+    from argparse import ArgumentTypeError  # a rejected value goes to argparse anyway
+    raise ArgumentTypeError(message)
+
+
+def _rejections():
+    """The exceptions by which a type callable rejects a value, as argparse
+    catches them.  An except clause evaluates this only once something is
+    raised, so a value that converts does not import argparse."""
+    from argparse import ArgumentTypeError
+    return ArgumentTypeError, TypeError, ValueError
 
 
 def _cmd_lob(args):
@@ -247,7 +256,10 @@ def _leaf(kinds, name, help, handler, compute, precision, *arguments) -> None:
     sub.set_defaults(func=handler, compute=compute)
 
 
-def _parser(names, metavar=None) -> argparse.ArgumentParser:
+def _parser(names, metavar=None):
+    """The argparse parser of the named top-level commands."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="raca",
         description="Right-angled polyhedra: volumes, census, arithmeticity.")
@@ -265,15 +277,17 @@ def _parser(names, metavar=None) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every command."""
     return _parser(_COMMANDS)
 
 
 def _direct(argv):
-    """The Namespace argparse returns for argv, read straight from the leaf's
-    declaration; None unless argv is a leaf's exact path, then its
-    positionals and exact option strings, each at most once and with a value
-    that does not start with "-", and every value converts."""
+    """A namespace with the attributes of the Namespace argparse returns for
+    argv, read straight from the leaf's declaration; None unless argv is a
+    leaf's exact path, then its positionals and exact option strings, each
+    at most once and with a value that does not start with "-", and every
+    value converts."""
     path = argv[:2] if argv[:1] and _COMMANDS.get(argv[0]) else argv[:1]
     leaf = _LEAVES.get(" ".join(path))
     if leaf is None or " " in "".join(path):
@@ -318,9 +332,9 @@ def _direct(argv):
             if value not in spec.get("choices", (value,)):
                 return None
             values[dest] = value
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+    except _rejections():
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -149,6 +149,8 @@ _PI_SCALED = _scaled_pi(_PI_BITS)
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """A computed value with a bound on its absolute error."""
+
     value: float
     abs_error_bound: float
 

@@ -36,6 +36,8 @@ _VERTEX_CAP = 128
 
 @dataclass(frozen=True)
 class AbstractPolyhedron:
+    """A combinatorial polyhedron: its vertex count and faces as vertex cycles."""
+
     vertex_count: int
     faces: tuple
 
@@ -48,6 +50,8 @@ class AbstractPolyhedron:
 
 @dataclass(frozen=True)
 class CombinatorialProfile:
+    """Vertex, edge and face counts of a validated polyhedron."""
+
     v_inf: int  # degree-4 (ideal) vertices
     v_f: int    # degree-3 (finite) vertices
     e: int
@@ -56,6 +60,8 @@ class CombinatorialProfile:
 
 @dataclass(frozen=True)
 class FaceStatistics:
+    """Face-size distribution of a polyhedron, with its sums W and WI."""
+
     p: dict          # face size -> count
     w: int           # sum of face sizes
     wi: int          # sum over faces of ideal vertices contained
@@ -63,6 +69,8 @@ class FaceStatistics:
 
 @dataclass(frozen=True)
 class DualGraph:
+    """Adjacency of faces: one edge per pair of faces sharing a primal edge."""
+
     face_count: int
     edges: tuple     # (i, j, primal edge (a, b)) with i < j, a < b
 
@@ -76,6 +84,8 @@ class DualGraph:
 
 @dataclass(frozen=True)
 class AndreevResult:
+    """Verdict of Andreev's conditions: the first failed condition and its witness."""
+
     passed: bool
     condition: int | None
     witness: object
@@ -84,6 +94,8 @@ class AndreevResult:
 
 @dataclass(frozen=True)
 class LemmaResult:
+    """Verdict of the face lemma: the first face failing it and its ideal count."""
+
     passed: bool
     face: tuple | None
     ideal_count: int | None
@@ -137,15 +149,19 @@ def _connected(adj: dict, vertices, removed=frozenset()) -> bool:
     return len(seen) == len(alive)
 
 
-@dataclass(frozen=True)
 class _SphereMap:
     """A sphere map: a polyhedron with the incidences every check reads.  Only
-    `_new_map` builds one, for `_sphere_map` and for `census._leaf_map`."""
+    `_new_map` builds one, for `_sphere_map` and for `census._leaf_map`.  A
+    plain class with slots: no check compares, hashes or copies a map."""
 
-    poly: AbstractPolyhedron
-    degrees: tuple  # vertex -> its degree
-    dual: list      # face -> {neighbouring face: shared primal edge}
-    profile: CombinatorialProfile
+    __slots__ = ("poly", "degrees", "dual", "profile")
+
+    def __init__(self, poly: AbstractPolyhedron, degrees: tuple, dual: list,
+                 profile: CombinatorialProfile):
+        self.poly = poly
+        self.degrees = degrees  # vertex -> its degree
+        self.dual = dual        # face -> {neighbouring face: shared primal edge}
+        self.profile = profile
 
 
 def _edge_faces(faces) -> dict:

@@ -21,6 +21,8 @@ _COUNT_CAP = 2**53  # vertex counts in bounds stay exact, and finite, as floats
 
 @dataclass(frozen=True)
 class VolumeReport:
+    """A volume, the formula that gave it and a bound on its absolute error."""
+
     value: float
     formula: str
     abs_error_bound: float
@@ -28,6 +30,8 @@ class VolumeReport:
 
 @dataclass(frozen=True)
 class BoundPair:
+    """Lower and upper volume bounds, and whether the lower one is attained."""
+
     lower: float
     upper: float
     lower_attained: bool = False

@@ -570,7 +570,6 @@ def _counted(function, calls, key):
 
 def test_census_canonicalizes_only_leaves_that_pass_andreev(monkeypatch):
     census._andreev_types.cache_clear()
-    census._closed_form_names.cache_clear()
     calls = Counter()
     leaf_map = census._leaf_map
 
@@ -587,11 +586,19 @@ def test_census_canonicalizes_only_leaves_that_pass_andreev(monkeypatch):
                               (polyhedra, "_sphere_map", "_sphere_map")]:
         monkeypatch.setattr(module, name, _counted(getattr(module, name), calls, key))
     assert verify_minimality().verified
-    # 6 other certificates: 3 round trips, 3 closed-form names (the witness
-    # is looked up among the names); 90 leaves and 5 leaf maps, not 1,433
-    # and 354, because the search drops graphs with a face failing the lemma
+    # 3 other certificates, the round trips': the closed-form names are
+    # literals; 90 leaves and 5 leaf maps, not 1,433 and 354, because the
+    # search drops graphs with a face failing the lemma
     assert calls == {"leaves": 90, "leaf maps": 5, "leaf certificates": 5,
-                     "round trips": 3, "other certificates": 6, "_sphere_map": 6}
+                     "round trips": 3, "other certificates": 3, "_sphere_map": 3}
+
+
+def test_closed_form_names_are_the_catalog_certificates():
+    assert census._closed_form_names() == {
+        canonical_form(catalog.p32()): "P32",
+        canonical_form(catalog.p28()): "P28",
+        canonical_form(catalog.p34()): "P34",
+    }
 
 
 @pytest.mark.parametrize("name,stub,failure", [

@@ -704,3 +704,32 @@ print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - befor
     loaded = set(proc.stdout.split())
     assert "raca" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"raca"}
+
+
+_HELP_MACHINERY = {"argparse", "gettext", "locale"}
+
+
+def _help_machinery_loaded(*args):
+    """(exit code, stderr, which of argparse, gettext and locale a fresh
+    `python -X importtime ARGS` imports); pytest itself has loaded argparse
+    here, so only a new interpreter can tell."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc.returncode, proc.stderr, imported & _HELP_MACHINERY
+
+
+def test_well_formed_commands_do_not_import_argparse():
+    code, _, bare = _help_machinery_loaded("-c", "pass")
+    assert code == 0
+    code, _, loaded = _help_machinery_loaded("-c", "import raca, raca.cli")
+    assert (code, loaded) == (0, bare)
+    code, _, loaded = _help_machinery_loaded("-m", "raca.cli", "lob", "1", "--json")
+    assert (code, loaded) == (0, bare)
+    # a usage error still goes to argparse
+    code, err, loaded = _help_machinery_loaded("-m", "raca.cli", "lob", "--bogus")
+    assert code == 3 and "raca lob: error: the following arguments are required: theta" in err
+    assert "argparse" in loaded
