@@ -6,7 +6,6 @@ realizability checking, and exact arithmeticity verdicts for the associated
 non-cocompact reflection groups.
 """
 
-from . import catalog
 from .arithmeticity import (
     ArithmeticityResult,
     CoxeterMatrix,
@@ -135,3 +134,16 @@ __all__ = [
     "validate",
     "verify_minimality",
 ]
+
+
+def __getattr__(name):
+    """`catalog`, imported on first access (PEP 562): no command uses the
+    named polyhedra, so `import raca` leaves them out."""
+    if name == "catalog":
+        from importlib import import_module
+        return import_module(f"{__name__}.catalog")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "catalog"})

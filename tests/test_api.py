@@ -1,7 +1,11 @@
-"""The public classes' dataclass contract: the API is fixed, so a class that
-loses its generated methods for import speed breaks callers."""
+"""The public API's shape.  It is fixed, so a class that loses its generated
+dataclass methods, or a name that stops resolving, for import speed breaks
+callers."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +76,26 @@ def test_sphere_map_rejects_a_new_attribute():
     m = polyhedra._sphere_map(catalog.p32())
     with pytest.raises(AttributeError):
         m.extra = 1
+
+
+def test_catalog_loads_on_first_access():
+    # pytest has imported raca.catalog here, so only a new interpreter can tell
+    script = """
+import sys
+import raca, raca.cli
+assert "raca.catalog" not in sys.modules
+assert "catalog" in dir(raca) and "catalog" in raca.__all__
+assert raca.catalog.p32().vertex_count == 5
+from raca import catalog
+assert catalog is sys.modules["raca.catalog"] is raca.catalog
+try:
+    raca.nonexistent
+except AttributeError as exc:
+    assert str(exc) == "module 'raca' has no attribute 'nonexistent'"
+else:
+    raise AssertionError("raca.nonexistent resolved")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
