@@ -59,10 +59,8 @@ def test_public_dataclass_contract(name):
     assert tuple(field.name for field in dataclasses.fields(cls)) == fields
     value = make()
     assert type(value) is cls
-    copy = dataclasses.replace(value)
+    copy = dataclasses.replace(value, **{fields[0]: getattr(make(), fields[0])})
     assert copy == value and copy is not value
-    changed = dataclasses.replace(value, **{fields[0]: getattr(make(), fields[0])})
-    assert changed == value
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, fields[0], getattr(value, fields[0]))
     if name in UNHASHABLE:
