@@ -140,10 +140,11 @@ LEAVES = {
 SPELLINGS = {"bogus": ["--bogus"], "precision13": ["--precision", "13"],
              "precision3": ["--precision", "3"], "prec3": ["--prec", "3"],
              "precision-eq3": ["--precision=3"]}
-# usage errors and help outside the leaves: the root, each group, a missing
-# command or argument, an extra positional and a repeated option (the last
-# value wins).  `raca frobnicate` is left to tests/test_cli.py: later Python
-# releases print an "invalid choice" list without quotes
+# usage errors and help outside the leaves: the root, each group's help and
+# the group alone, a missing command or argument, an unknown option, an extra
+# positional and a repeated option (the last value wins).  `raca frobnicate`
+# is left to tests/test_cli.py: later Python releases print an "invalid
+# choice" list without quotes
 USAGE = {
     "root_help": ["-h"],
     "root_none": [],
@@ -153,8 +154,14 @@ USAGE = {
     "census_help": ["census", "--help"],
     "arith_help": ["arith", "--help"],
     "volume_none": ["volume"],
+    "bounds_none": ["bounds"],
+    "check_none": ["check"],
+    "census_none": ["census"],
+    "arith_none": ["arith"],
     "lob_none": ["lob"],
+    "lob_bogus": ["lob", "1", "--bogus"],
     "volume-lobell_extra": ["volume", "lobell", "5", "extra"],
+    "census-enumerate_none": ["census", "enumerate"],
     "census-enumerate_no-vfinite": ["census", "enumerate", "--videal", "3"],
     "lob_repeated-precision": ["lob", "pi/4", "--precision", "3", "--precision", "5"],
 }
