@@ -17,10 +17,10 @@ positionals and exact option strings, each option at most once and with a
 value that does not start with "-") into a namespace holding what argparse
 would return, without argparse.  Anything else goes to argparse: help,
 usage errors, abbreviated options, `=` forms, `--`, repeats and values that
-do not convert.  `main` builds only the subtree of the command it is given,
-and argparse writes every help text, usage line and error message.
-argparse, and gettext and locale through it, is imported only there, for
-help and usage errors, so a well-formed command never loads it.
+do not convert.  For those `main` builds the argparse parser of every
+command, and argparse writes every help text, usage line and error message.
+argparse, and gettext and locale through it, is imported only there, so a
+well-formed command never loads it.
 """
 
 from __future__ import annotations
@@ -256,30 +256,25 @@ def _leaf(kinds, name, help, handler, compute, precision, *arguments) -> None:
     sub.set_defaults(func=handler, compute=compute)
 
 
-def _parser(names, metavar=None):
-    """The argparse parser of the named top-level commands."""
+def build_parser():
+    """The argparse parser of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="raca",
         description="Right-angled polyhedra: volumes, census, arithmeticity.")
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        if _COMMANDS[name] is None:
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, help in _COMMANDS.items():
+        if help is None:
             _leaf(commands, name, *_LEAVES[name])
             continue
-        kinds = commands.add_parser(name, help=_COMMANDS[name]).add_subparsers(
+        kinds = commands.add_parser(name, help=help).add_subparsers(
             dest=f"{name}_kind", required=True)
         for path, leaf in _LEAVES.items():
             group, _, kind = path.partition(" ")
             if group == name:
                 _leaf(kinds, kind, *leaf)
     return parser
-
-
-def build_parser():
-    """The argparse parser of every command."""
-    return _parser(_COMMANDS)
 
 
 def _direct(argv):
@@ -345,13 +340,8 @@ def main(argv=None) -> int:
     argv = [" " + arg if _NEGATED.match(arg) else arg for arg in argv]
     args = _direct(argv)
     if args is None:  # help, a usage error or a form only argparse reads
-        if argv and argv[0] in _COMMANDS:
-            # the metavar keeps every command in the usage line of a root error
-            parser = _parser(argv[:1], metavar="{" + ",".join(_COMMANDS) + "}")
-        else:  # no command, or an unknown one: the full parser reports it
-            parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse uses exit status 2 for usage errors; that slot is taken
             # by mathematical failures, so usage problems are reported as 3

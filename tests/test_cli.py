@@ -502,44 +502,11 @@ def test_well_formed_commands_build_no_parser(capsys, monkeypatch, files, argv):
     assert declared == []
 
 
-_DECLARED = [  # argv, number of leaf commands argparse builds for its help or a usage error
-    (["lob", "pi/4"], 1),
-    (["volume", "named", "P32"], 4),
-    (["bounds", "ideal", "6"], 3),
-    (["check", "stats", "p32"], 2),
-    (["census", "enumerate", "--videal", "3", "--vfinite", "2"], 2),
-    (["arith", "check", "d444"], 1),
-    (["verify-theorem"], 1),
-    ([], 14),  # no command, an unknown one and the root help need the full parser
-    (["frobnicate"], 14),
-    (["-h"], 14),
-]
-
-
-@pytest.mark.parametrize("argv,leaves", _DECLARED,
-                         ids=[" ".join(argv[:2]) or "(none)" for argv, _ in _DECLARED])
-def test_main_declares_only_the_invoked_command(capsys, monkeypatch, files, argv, leaves):
-    declared = _count_leaves(monkeypatch)
-    for extra in (["--help"], ["--bogus"], ["--precision", "13"]):
-        declared.clear()
-        main([*(files.get(arg, arg) for arg in argv), *extra])
-        capsys.readouterr()
-        assert len(declared) == leaves, declared
-
-
+# help and usage errors, which only argparse reads
 _PARITY = [[*_leaf_path(argv), "--help"] for argv, _, _ in _LEAVES] + [
     ["volume"], ["bounds"], ["check"], ["census"], ["arith"],
     ["lob"], ["lob", "1", "--bogus"], ["volume", "lobell", "5", "extra"],
     ["census", "enumerate"], [], ["frobnicate"], ["-h"]]
-
-
-@pytest.mark.parametrize("argv", _PARITY, ids=[" ".join(argv) or "(none)" for argv in _PARITY])
-def test_subtree_parser_matches_the_full_parser(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    subtree = main(argv), capsys.readouterr()
-    full = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda names, metavar=None: full(cli._COMMANDS))
-    assert subtree == (main(argv), capsys.readouterr())
 
 
 def _shielded(argv):
