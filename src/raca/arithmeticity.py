@@ -223,27 +223,36 @@ def _simple_cycles(gram: ExactGramMatrix, max_len: int, table=None):
                     f"lower max_len (now {max_len})")
         return
 
-    def walk(start, path, product, used):
-        nonlocal steps
-        last = path[-1]
-        steps += len(nonzero[last])
-        if steps > _WALK_LIMIT:
-            raise ResourceLimitError(
-                f"cycle enumeration stopped after {_WALK_LIMIT} steps; "
-                f"lower max_len (now {max_len})")
-        for nxt in nonzero[last]:
-            if nxt == start and len(path) >= 3:
-                if path[1] < path[-1]:
-                    yield tuple(path), combine(product, values[last][start])
-            elif nxt > start and nxt not in used and len(path) < max_len:
-                used.add(nxt)
-                path.append(nxt)
-                yield from walk(start, path, combine(product, values[last][nxt]), used)
-                path.pop()
-                used.discard(nxt)
-
+    # a depth-first walk from each start over paths of vertices above it,
+    # closing a cycle when the path's last vertex is next to the start.
+    # Entering a vertex costs its degree in steps.  The walk keeps its own
+    # stack (one neighbour iterator and one product per path vertex), so a
+    # path may be longer than Python's recursion limit
     for start in range(n):
-        yield from walk(start, [start], one, {start})
+        path, products, used = [start], [one], {start}
+        pending = [iter(nonzero[start])]
+        steps += len(nonzero[start])
+        while pending:
+            if steps > _WALK_LIMIT:
+                raise ResourceLimitError(
+                    f"cycle enumeration stopped after {_WALK_LIMIT} steps; "
+                    f"lower max_len (now {max_len})")
+            last, product = path[-1], products[-1]
+            for nxt in pending[-1]:
+                if nxt == start:
+                    if len(path) >= 3 and path[1] < last:
+                        yield tuple(path), combine(product, values[last][start])
+                elif nxt > start and nxt not in used and len(path) < max_len:
+                    used.add(nxt)
+                    path.append(nxt)
+                    products.append(combine(product, values[last][nxt]))
+                    pending.append(iter(nonzero[nxt]))
+                    steps += len(nonzero[nxt])
+                    break
+            else:  # every neighbour of the last vertex is done: step back
+                pending.pop()
+                products.pop()
+                used.discard(path.pop())
 
 
 def _square_class(x: SurdInteger):

@@ -3,13 +3,14 @@
 import json
 import math
 import random
+import sys
 import time
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from raca import arithmeticity, catalog
+from raca import arithmeticity, catalog, cli
 from raca.arithmeticity import (
     INF,
     CoxeterMatrix,
@@ -406,6 +407,25 @@ def test_cycle_enumeration_has_a_work_limit():
     assert time.perf_counter() - start < 10.0
 
 
+def test_walk_outlasts_the_recursion_limit(capsys, tmp_path):
+    """A path diagram longer than Python's recursion limit, walked with
+    max_len one below its size: each of its edges is a 2-cycle, and the walk
+    from vertex 0 follows the whole path."""
+    n = sys.getrecursionlimit() + 100
+    path = {"size": n, "m": [[1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(n)]
+                             for i in range(n)]}
+    gram = gram_from_coxeter(load_coxeter(path))
+    res = is_arithmetic_noncocompact(gram, n - 1)
+    assert (res.arithmetic, res.cycles_checked) == (True, n - 1)
+    assert cyclic_products(gram, n - 1) == {ONE}
+
+    diagram = tmp_path / "path.json"
+    diagram.write_text(json.dumps(path))
+    assert cli.main(["arith", "check", str(diagram), "--max-len", str(n - 1)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"arithmetic ({n - 1} cyclic products checked)\n") and err == ""
+
+
 def test_non_monomial_entries_take_the_enumeration():
     two, minus_one = SurdInteger(2), SurdInteger(-1)
     x = ONE + SQRT2
@@ -502,45 +522,65 @@ def _seeded_grams():
         yield _random_surd_gram(rng)
 
 
-def test_max_len_3_loop_matches_the_walk(monkeypatch):
-    kinds = Counter()
-    for gram in _seeded_grams():
-        table = arithmeticity._square_classes(gram)
-        kinds[table is None] += 1
-        walk = _outcome(_walk(gram, 3))
-        assert _outcome(arithmeticity._simple_cycles(gram, 3)) == walk
-        assert cyclic_products(gram, 3) == {p for _, p in walk}
-        if table is not None:
-            assert _outcome(arithmeticity._simple_cycles(gram, 3, table)) == \
-                _outcome(_walk(gram, 3, table))
-        res = is_arithmetic_noncocompact(gram, 3)
-        first = next(((c, p) for c, p in walk if not p.is_rational_integer), (None, None))
-        assert (res.cycles_checked, res.witness_cycle, res.witness_product) == \
-            (len(walk), *first)
-        assert res.arithmetic == (first[0] is None)
-    assert kinds[False] > 150 and kinds[True] > 50
+# max_len -> the largest Gram it is checked on without a step limit: the
+# reference walk takes seconds on the 12-node Grams beyond max_len 4
+_UNLIMITED_SIZE = {3: 12, 4: 8, 5: 8, 6: 8}
 
-    # the loop takes the walk's steps: with a small limit both stop, or neither
+
+def test_max_len_3_loop_matches_the_walk(monkeypatch):
+    """The max_len 3 loop, and the stack walk for max_len 4 to 6, emit the
+    recursive walk's cycles and products in its order, and stop at its step
+    limit exactly when it does."""
+    kinds = Counter()
+    for max_len, size in _UNLIMITED_SIZE.items():
+        for gram in _seeded_grams():
+            if gram.size > size:
+                continue
+            table = arithmeticity._square_classes(gram)
+            kinds[max_len, table is None] += 1
+            walk = _outcome(_walk(gram, max_len))
+            assert _outcome(arithmeticity._simple_cycles(gram, max_len)) == walk
+            assert cyclic_products(gram, max_len) == {p for _, p in walk}
+            if table is not None:
+                assert _outcome(arithmeticity._simple_cycles(gram, max_len, table)) == \
+                    _outcome(_walk(gram, max_len, table))
+            res = is_arithmetic_noncocompact(gram, max_len)
+            first = next(((c, p) for c, p in walk if not p.is_rational_integer), (None, None))
+            assert res.arithmetic == (first[0] is None)
+            # on up to max_len monomial nodes the potential runs, not the walk;
+            # it counts fundamental cycles, as many as the simple ones on 3 nodes
+            if table is None or gram.size > max_len or gram.size <= 3:
+                assert (res.cycles_checked, res.witness_cycle, res.witness_product) == \
+                    (len(walk), *first)
+    assert kinds[3, False] > 150 and kinds[3, True] > 50
+    assert all(kinds[max_len, False] > 100 and kinds[max_len, True] > 50
+               for max_len in (4, 5, 6))
+
+    # the loop and the stack walk take the recursive walk's steps: with a
+    # small limit both stop, or neither
     stops = Counter()
     for limit in (1, 8, 40, 150, 600):
         monkeypatch.setattr(arithmeticity, "_WALK_LIMIT", limit)
-        for gram in _seeded_grams():
-            table = arithmeticity._square_classes(gram)
-            want = _outcome(_walk(gram, 3)) == "limit"
-            stops[want] += 1
-            fresh = ExactGramMatrix(gram.size, gram.entries)
-            runs = [lambda: cyclic_products(gram, 3),
-                    lambda: list(arithmeticity._simple_cycles(gram, 3, table))]
-            # on up to 3 monomial nodes max_len 3 takes the potential, not the walk
-            if table is None or gram.size > 3:
-                runs.append(lambda: is_arithmetic_noncocompact(fresh, 3))
-            for run in runs:
-                if want:
-                    with pytest.raises(ResourceLimitError, match="lower max_len \\(now 3\\)"):
+        for max_len in _UNLIMITED_SIZE:
+            for gram in _seeded_grams():
+                table = arithmeticity._square_classes(gram)
+                want = _outcome(_walk(gram, max_len)) == "limit"
+                stops[max_len, want] += 1
+                fresh = ExactGramMatrix(gram.size, gram.entries)
+                runs = [lambda: cyclic_products(gram, max_len),
+                        lambda: list(arithmeticity._simple_cycles(gram, max_len, table))]
+                # on up to max_len monomial nodes the potential runs, not the walk
+                if table is None or gram.size > max_len:
+                    runs.append(lambda: is_arithmetic_noncocompact(fresh, max_len))
+                for run in runs:
+                    if want:
+                        with pytest.raises(ResourceLimitError,
+                                           match=f"lower max_len \\(now {max_len}\\)"):
+                            run()
+                    else:
                         run()
-                else:
-                    run()
-    assert stops[True] > 100 and stops[False] > 100
+    assert all(stops[max_len, True] > 100 and stops[max_len, False] > 100
+               for max_len in _UNLIMITED_SIZE)
 
 
 def test_square_class_table_is_built_once_per_gram(monkeypatch):
