@@ -457,7 +457,7 @@ def test_non_monomial_entries_take_the_enumeration():
         is_arithmetic_noncocompact(ExactGramMatrix(14, big))
 
 
-# -- the max_len 3 loop against the recursive walk ------------------------------
+# -- the max_len 3 loop and the stack walk against the recursive walk ----------
 
 def _walk(gram, max_len, table=None):
     """The recursive walk of `_simple_cycles`, for every max_len >= 3, with
