@@ -47,10 +47,14 @@ class CoxeterMatrix:
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(tuple(row) for row in self.m))
         n = self.size
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DomainError(f"Coxeter matrix size must be an integer, got {n!r}")
         if len(self.m) != n or any(len(row) != n for row in self.m):
             raise DomainError(f"Coxeter matrix must be {n}x{n}")
         for i in range(n):
-            if self.m[i][i] != 1:
+            # True and 1.0 equal 1 but are not labels, as off the diagonal
+            diagonal = self.m[i][i]
+            if isinstance(diagonal, bool) or not isinstance(diagonal, int) or diagonal != 1:
                 raise DomainError(f"Coxeter matrix diagonal entry ({i},{i}) must be 1")
             for j in range(n):
                 if i == j:

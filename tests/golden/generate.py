@@ -70,11 +70,13 @@ NONARITH9 = [[1, 3, 4, 2, 2, 3, 3, 2, 4],
              [4, 2, 2, 2, 6, "inf", 2, 2, 1]]
 
 # diagram file -> the --max-len bounds it runs under (None: the default);
-# k40 under --max-len 8 stops at the cycle walk's step limit (exit 4)
+# k40 under --max-len 8 stops at the cycle walk's step limit (exit 4), and
+# a diagonal `true` is not the label 1 (exit 3)
 ARITH = {"coxeter_P32": (None, 3, 1),
          "coxeter_nonarith9": (None, 4, 3, 2),
          "coxeter_asymmetric": (None,),
-         "coxeter_k40": (8,)}
+         "coxeter_k40": (8,),
+         "coxeter_true-diagonal": (None,)}
 
 # each lob, volume and bounds leaf -> its argument lists; the last of lob,
 # lobell, named, compact and mixed is an input error (exit 3)
@@ -190,7 +192,8 @@ def diagrams():
             "coxeter_nonarith9": {"size": 9, "m": NONARITH9},
             "coxeter_asymmetric": {"size": 3, "m": [[1, 3, 2], [4, 1, 2], [2, 2, 1]]},
             "coxeter_k40": {"size": 40, "m": [[1 if i == j else 3 for j in range(40)]
-                                             for i in range(40)]}}
+                                             for i in range(40)]},
+            "coxeter_true-diagonal": {"size": 2, "m": [[True, 3], [3, 1]]}}
 
 
 def inputs():

@@ -163,6 +163,26 @@ def test_matrix_validation():
         ExactGramMatrix(2, [[two, -SQRT2], [-SQRT3, two]])
     # equal entries need not be one object
     ExactGramMatrix(2, [[two, SurdInteger(0, 1)], [SurdInteger(0, 1), two]])
+
+
+@pytest.mark.parametrize("one", [True, 1.0])
+def test_matrix_diagonal_is_the_int_1(one):
+    # True and 1.0 equal 1; off the diagonal neither is a label, and on it
+    # neither is the 1 either
+    with pytest.raises(DomainError, match=r"diagonal entry \(0,0\) must be 1"):
+        CoxeterMatrix(2, [[one, 3], [3, 1]])
+    with pytest.raises(DomainError, match=r"diagonal entry \(1,1\) must be 1"):
+        load_coxeter({"size": 2, "m": [[1, 3], [3, one]]})
+    with pytest.raises(DomainError, match="must be an integer >= 2 or inf"):
+        CoxeterMatrix(2, [[1, one], [one, 1]])
+
+
+def test_matrix_size_is_an_int_not_a_bool():
+    with pytest.raises(DomainError, match="size must be an integer, got True"):
+        CoxeterMatrix(True, ((1,),))
+    with pytest.raises(DomainError, match="size must be an integer, got 2.0"):
+        CoxeterMatrix(2.0, [[1, 3], [3, 1]])
+    assert CoxeterMatrix(1, ((1,),)).size == 1
     # nor need the diagonal 2 be the entry gram_from_coxeter shares
     shared = gram_from_coxeter(load_coxeter(TRI463)).entries[0][0]
     assert SurdInteger(2) is not shared
