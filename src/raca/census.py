@@ -152,33 +152,38 @@ def candidate_pairs() -> list:
 # only choices taking a prefix of each such group are explored (any other
 # choice is isomorphic to a prefix choice via a group-internal swap).  The
 # final certificate dedup makes the output independent of this pruning.
+#
+# The search keeps its state up to date instead of recomputing it at every
+# node: next to the `adj` sets, `rem[j]` holds the degree vertex j still
+# lacks and `mask[j]` its neighbours as an int bitmask, and all three change
+# in place as vertex i is wired and back as it is unwired.  A group is keyed
+# on (degree, mask[j]).  The choices of a step depend only on the group
+# sizes and on how many neighbours vertex i still needs, so they come from a
+# table of per-group count vectors on that key, filled as the search meets
+# it.  The degree-sum parity, the same at every node, is checked once.
+
+@lru_cache(maxsize=None)
+def _count_vectors(sizes, need):
+    """Per-group counts of each way to take `need` vertices from groups of
+    these sizes, earlier groups giving as many as they can first."""
+    if not sizes:
+        return ((),) if need == 0 else ()
+    first, rest = sizes[0], sizes[1:]
+    room = sum(rest)
+    return tuple((t,) + tail
+                 for t in range(min(first, need), max(0, need - room) - 1, -1)
+                 for tail in _count_vectors(rest, need - t))
+
 
 def _prefix_choices(groups, need):
     """Each way to take `need` vertices as a prefix of every group.
 
     Earlier groups give as many as they can first, so the choices come in
-    decreasing lexicographic order of their per-group counts.
+    decreasing lexicographic order of their per-group counts, read from the
+    count table that `_extend` walks.
     """
-    if not groups:
-        if need == 0:
-            yield ()
-        return
-    first, rest = groups[0], groups[1:]
-    room = sum(len(g) for g in rest)
-    for t in range(min(len(first), need), max(0, need - room) - 1, -1):
-        for tail in _prefix_choices(rest, need - t):
-            yield tuple(first[:t]) + tail
-
-
-def _feasible(degrees, adj, i):
-    n = len(degrees)
-    total = 0
-    for j in range(i + 1, n):
-        rem = degrees[j] - len(adj[j])
-        if rem > n - i - 2:
-            return False
-        total += rem
-    return total % 2 == 0
+    for counts in _count_vectors(tuple(map(len, groups)), need):
+        yield tuple(j for group, t in zip(groups, counts) for j in group[:t])
 
 
 def _peripheral_cycles(adj, limit=None):
@@ -374,32 +379,58 @@ def _extend(degrees, adj, i, reverse, certify, out, prune=None):
     Given a `prune`, a partial graph with `prune(degrees, adj, i)` true
     after vertex i is wired is not extended.  With no `prune` the search
     completes every graph, as the published counts and references need.
+    A choice is kept only while every later vertex can still reach its
+    degree among the vertices after i.  The search keeps `rem` and `mask`
+    (see above) next to `adj`, built once from it; a wired vertex's own
+    entries are not read again, so wiring vertex i updates those of its new
+    neighbours, and unwiring restores them.  The choices of step i are the
+    count vectors of `_count_vectors` for its group sizes and rem[i], walked
+    backwards when `reverse` is set.  `adj` is left as it was found.
     """
     n = len(degrees)
-    if i == n:
-        cert = certify(adj)
-        if cert is not None:
-            out.add(cert)
-        return
-    groups = {}
-    for j in range(i + 1, n):
-        if len(adj[j]) < degrees[j]:
-            groups.setdefault((degrees[j], tuple(sorted(adj[j]))), []).append(j)
-    # never negative: a group holds a vertex only below its degree, and one
-    # step adds at most one edge to it
-    need = degrees[i] - len(adj[i])
-    choices = list(_prefix_choices(list(groups.values()), need))
-    if reverse:
-        choices.reverse()
-    for combo in choices:
-        for j in combo:
-            adj[i].add(j)
-            adj[j].add(i)
-        if _feasible(degrees, adj, i) and not (prune and prune(degrees, adj, i)):
-            _extend(degrees, adj, i + 1, reverse, certify, out, prune)
-        for j in combo:
-            adj[i].remove(j)
-            adj[j].remove(i)
+    rem = [d - len(nbrs) for d, nbrs in zip(degrees, adj)]
+    mask = [sum(1 << w for w in nbrs) for nbrs in adj]
+
+    def wire(i):
+        if i == n:
+            cert = certify(adj)
+            if cert is not None:
+                out.add(cert)
+            return
+        groups = {}
+        for j in range(i + 1, n):
+            if rem[j] > 0:
+                groups.setdefault((degrees[j], mask[j]), []).append(j)
+        groups = list(groups.values())
+        # never negative: a group holds a vertex only below its degree, and
+        # one step adds at most one edge to it
+        vectors = _count_vectors(tuple(map(len, groups)), rem[i])
+        if reverse:
+            vectors = reversed(vectors)
+        bound, nbrs, bit = n - i - 2, adj[i], 1 << i
+        for counts in vectors:
+            combo = [j for group, t in zip(groups, counts) for j in group[:t]]
+            for j in combo:
+                nbrs.add(j)
+                adj[j].add(i)
+                rem[j] -= 1
+                mask[j] |= bit
+            for j in range(i + 1, n):
+                if rem[j] > bound:
+                    break
+            else:
+                if not (prune and prune(degrees, adj, i)):
+                    wire(i + 1)
+            for j in combo:
+                nbrs.remove(j)
+                adj[j].remove(i)
+                rem[j] += 1
+                mask[j] ^= bit
+
+    # each edge takes one from two entries of rem and a wired vertex lacks
+    # nothing, so with an odd sum no choice anywhere completes a graph
+    if sum(rem[i:]) % 2 == 0:
+        wire(i)
 
 
 def _check_workers(workers):

@@ -383,6 +383,110 @@ def test_prefix_choices_keep_the_reference_order():
             assert got[::-1] == _canonical_combos(groups, need, True), (groups, need)
 
 
+def _reference_prefix_choices(groups, need):
+    """The former recursive prefix choices, kept as a reference."""
+    if not groups:
+        if need == 0:
+            yield ()
+        return
+    first, rest = groups[0], groups[1:]
+    room = sum(len(g) for g in rest)
+    for t in range(min(len(first), need), max(0, need - room) - 1, -1):
+        for tail in _reference_prefix_choices(rest, need - t):
+            yield tuple(first[:t]) + tail
+
+
+def _reference_feasible(degrees, adj, i):
+    n = len(degrees)
+    total = 0
+    for j in range(i + 1, n):
+        rem = degrees[j] - len(adj[j])
+        if rem > n - i - 2:
+            return False
+        total += rem
+    return total % 2 == 0
+
+
+def _reference_extend(degrees, adj, i, reverse, certify, out, prune=None):
+    """The former backtracker, which recomputed its groups at every node."""
+    n = len(degrees)
+    if i == n:
+        cert = certify(adj)
+        if cert is not None:
+            out.add(cert)
+        return
+    groups = {}
+    for j in range(i + 1, n):
+        if len(adj[j]) < degrees[j]:
+            groups.setdefault((degrees[j], tuple(sorted(adj[j]))), []).append(j)
+    need = degrees[i] - len(adj[i])
+    choices = list(_reference_prefix_choices(list(groups.values()), need))
+    if reverse:
+        choices.reverse()
+    for combo in choices:
+        for j in combo:
+            adj[i].add(j)
+            adj[j].add(i)
+        if _reference_feasible(degrees, adj, i) and not (prune and prune(degrees, adj, i)):
+            _reference_extend(degrees, adj, i + 1, reverse, certify, out, prune)
+        for j in combo:
+            adj[i].remove(j)
+            adj[j].remove(i)
+
+
+def _leaf_snapshots(extend, degrees, reverse, prune, wired=()):
+    """The adjacency `certify` sees at each leaf, in order, `out`, and each
+    (i, adjacency) that `prune` is asked about, in order.
+
+    The search starts after vertex 0 when it is given edges `wired` at 0.
+    """
+    adj = [set() for _ in degrees]
+    for j in wired:
+        adj[0].add(j)
+        adj[j].add(0)
+    before = [set(nbrs) for nbrs in adj]
+    leaves, out, asked = [], set(), []
+
+    def snapshot(adj):
+        leaves.append([sorted(nbrs) for nbrs in adj])
+        # every third leaf gives a certificate, so `out` is compared too
+        return None if len(leaves) % 3 else len(leaves)
+
+    def recorded(degrees, adj, i):
+        asked.append((i, [sorted(nbrs) for nbrs in adj]))
+        return prune(degrees, adj, i)
+
+    extend(degrees, adj, 1 if wired else 0, reverse, snapshot, out,
+           recorded if prune else None)
+    assert adj == before
+    return leaves, out, asked
+
+
+_LEAF_CASES = [
+    *[pytest.param((4,) * vi + (3,) * vf, census._closes_bad_face, (), id=f"pruned-{vi}-{vf}")
+      for vi, vf in [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (4, 2), (3, 6)]],
+    *[pytest.param((3,) * n, None, (), id=f"cubic-{n}") for n in (4, 6, 8, 10, 12)],
+    *[pytest.param((4,) * n, None, (), id=f"quartic-{n}") for n in (6, 7, 8, 9, 10)],
+    pytest.param((4, 4) + (3,) * 8, census._closes_bad_face, (1, 2, 5, 9),
+                 id="pruned-2-8-from-vertex-1"),
+    pytest.param((3,) * 10, None, (1, 2, 3), id="cubic-10-from-vertex-1"),
+    pytest.param((4, 4) + (3,) * 7, census._closes_bad_face, (), id="pruned-2-7-odd"),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("degrees,prune,wired", _LEAF_CASES)
+def test_extend_visits_the_reference_leaves_in_order(degrees, prune, wired, reverse):
+    # the incremental state must not change the search tree: the same
+    # adjacency at every leaf and at every node `prune` sees, in the same
+    # order, and `adj` left as found
+    leaves, out, asked = _leaf_snapshots(census._extend, degrees, reverse, prune, wired)
+    expected = _leaf_snapshots(_reference_extend, degrees, reverse, prune, wired)
+    assert (leaves, out, asked) == expected
+    # an odd degree sum completes no graph, and is cut off before any node
+    assert bool(leaves) == (sum(degrees) % 2 == 0)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("degree,counts", [
     (3, {4: 1, 6: 1, 8: 2, 10: 5, 12: 14}),   # cubic polyhedral graphs, OEIS A000109
