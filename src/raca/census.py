@@ -155,17 +155,23 @@ def candidate_pairs() -> list:
 #
 # The search keeps its state up to date instead of recomputing it at every
 # node: next to the `adj` sets, `rem[j]` holds the degree vertex j still
-# lacks and `mask[j]` its neighbours as an int bitmask, and all three change
-# in place as vertex i is wired and back as it is unwired.  A group is keyed
-# on (degree, mask[j]).  The choices of a step depend only on the group
-# sizes and on how many neighbours vertex i still needs, so they come from a
-# table of per-group count vectors on that key, filled as the search meets
-# it.  The degree-sum parity, the same at every node, is checked once.
+# lacks and `mask[j]` its neighbours as an int bitmask, and the entries of
+# vertex i's new neighbours change in place as i is wired and back as it is
+# unwired.  A group is keyed on (degree, mask[j]).  The choices of a step
+# depend only on the group sizes and on how many neighbours vertex i still
+# needs, so they come from a table of per-group count vectors on that key,
+# filled as the search meets it.  The degree-sum parity, the same at every
+# node, is checked once.
 
 @lru_cache(maxsize=None)
 def _count_vectors(sizes, need):
     """Per-group counts of each way to take `need` vertices from groups of
-    these sizes, earlier groups giving as many as they can first."""
+    these sizes, earlier groups giving as many as they can first.
+
+    The table keeps one entry per key the searches meet, and the sizes of a
+    key sum to fewer than the vertices: 125 entries after
+    `verify_minimality()`, 378 after the (1,14) search as well.
+    """
     if not sizes:
         return ((),) if need == 0 else ()
     first, rest = sizes[0], sizes[1:]
@@ -402,8 +408,8 @@ def _extend(degrees, adj, i, reverse, certify, out, prune=None):
             if rem[j] > 0:
                 groups.setdefault((degrees[j], mask[j]), []).append(j)
         groups = list(groups.values())
-        # never negative: a group holds a vertex only below its degree, and
-        # one step adds at most one edge to it
+        # rem[i] is never negative: a group holds a vertex only below its
+        # degree, and one step adds at most one edge to it
         vectors = _count_vectors(tuple(map(len, groups)), rem[i])
         if reverse:
             vectors = reversed(vectors)

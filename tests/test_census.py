@@ -383,19 +383,6 @@ def test_prefix_choices_keep_the_reference_order():
             assert got[::-1] == _canonical_combos(groups, need, True), (groups, need)
 
 
-def _reference_prefix_choices(groups, need):
-    """The former recursive prefix choices, kept as a reference."""
-    if not groups:
-        if need == 0:
-            yield ()
-        return
-    first, rest = groups[0], groups[1:]
-    room = sum(len(g) for g in rest)
-    for t in range(min(len(first), need), max(0, need - room) - 1, -1):
-        for tail in _reference_prefix_choices(rest, need - t):
-            yield tuple(first[:t]) + tail
-
-
 def _reference_feasible(degrees, adj, i):
     n = len(degrees)
     total = 0
@@ -408,7 +395,8 @@ def _reference_feasible(degrees, adj, i):
 
 
 def _reference_extend(degrees, adj, i, reverse, certify, out, prune=None):
-    """The former backtracker, which recomputed its groups at every node."""
+    """A backtracker that recomputes its groups and feasibility at every
+    node: the reference for the search tree of `census._extend`."""
     n = len(degrees)
     if i == n:
         cert = certify(adj)
@@ -420,10 +408,7 @@ def _reference_extend(degrees, adj, i, reverse, certify, out, prune=None):
         if len(adj[j]) < degrees[j]:
             groups.setdefault((degrees[j], tuple(sorted(adj[j]))), []).append(j)
     need = degrees[i] - len(adj[i])
-    choices = list(_reference_prefix_choices(list(groups.values()), need))
-    if reverse:
-        choices.reverse()
-    for combo in choices:
+    for combo in _canonical_combos(list(groups.values()), need, reverse):
         for j in combo:
             adj[i].add(j)
             adj[j].add(i)
