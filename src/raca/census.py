@@ -181,17 +181,6 @@ def _count_vectors(sizes, need):
                  for tail in _count_vectors(rest, need - t))
 
 
-def _prefix_choices(groups, need):
-    """Each way to take `need` vertices as a prefix of every group.
-
-    Earlier groups give as many as they can first, so the choices come in
-    decreasing lexicographic order of their per-group counts, read from the
-    count table that `_extend` walks.
-    """
-    for counts in _count_vectors(tuple(map(len, groups)), need):
-        yield tuple(j for group, t in zip(groups, counts) for j in group[:t])
-
-
 def _peripheral_cycles(adj, limit=None):
     """Induced cycles whose removal leaves the graph connected, each once.
 
@@ -305,7 +294,7 @@ def _leaf_map(adj):
     both edges at a degree-4 vertex, whose link is then two 2-cycles;
     otherwise the proof goes through without it, and faces of a 3-connected
     plane graph share at most one edge.  No graph tried so far reaches it.
-    The map keeps the degrees, not `adj`, which the backtracker mutates.
+    The map keeps the degrees, not `adj`, which `_leaves` goes on changing.
     """
     n = len(adj)
     degrees = [len(nbrs) for nbrs in adj]
@@ -313,7 +302,7 @@ def _leaf_map(adj):
         return None
     e = sum(degrees) // 2
     f = e - n + 2
-    cycles = _peripheral_cycles(dict(enumerate(adj)), f)
+    cycles = _peripheral_cycles(adj, f)
     # no edge is on a third cycle, so the lengths sum to 2E exactly when
     # every edge is on two
     if cycles is None or len(cycles) != f or sum(map(len, cycles)) != 2 * e:
@@ -378,30 +367,30 @@ def _closes_bad_face(degrees, adj, i):
     return False
 
 
-def _extend(degrees, adj, i, reverse, certify, out, prune=None):
-    """Wire vertices i, i+1, ... and add `certify(adj)` of each completed
-    graph to `out` unless it is None.
+def _leaves(degrees, reverse, prune=None):
+    """Each completed graph with these degrees, as its list of neighbour sets.
 
     Given a `prune`, a partial graph with `prune(degrees, adj, i)` true
     after vertex i is wired is not extended.  With no `prune` the search
     completes every graph, as the published counts and references need.
     A choice is kept only while every later vertex can still reach its
     degree among the vertices after i.  The search keeps `rem` and `mask`
-    (see above) next to `adj`, built once from it; a wired vertex's own
-    entries are not read again, so wiring vertex i updates those of its new
-    neighbours, and unwiring restores them.  The choices of step i are the
-    count vectors of `_count_vectors` for its group sizes and rem[i], walked
-    backwards when `reverse` is set.  `adj` is left as it was found.
+    (see above) next to `adj`; a wired vertex's own entries are not read
+    again, so wiring vertex i updates those of its new neighbours, and
+    unwiring restores them.  The choices of step i are the count vectors of
+    `_count_vectors` for its group sizes and rem[i], walked backwards when
+    `reverse` is set.  Every leaf yields the same live list, which the
+    search changes again when the next leaf is asked for: a caller that
+    keeps a graph copies it.
     """
     n = len(degrees)
-    rem = [d - len(nbrs) for d, nbrs in zip(degrees, adj)]
-    mask = [sum(1 << w for w in nbrs) for nbrs in adj]
+    adj = [set() for _ in degrees]
+    rem = list(degrees)
+    mask = [0] * n
 
     def wire(i):
         if i == n:
-            cert = certify(adj)
-            if cert is not None:
-                out.add(cert)
+            yield adj
             return
         groups = {}
         for j in range(i + 1, n):
@@ -426,17 +415,17 @@ def _extend(degrees, adj, i, reverse, certify, out, prune=None):
                     break
             else:
                 if not (prune and prune(degrees, adj, i)):
-                    wire(i + 1)
+                    yield from wire(i + 1)
             for j in combo:
                 nbrs.remove(j)
                 adj[j].remove(i)
                 rem[j] += 1
                 mask[j] ^= bit
 
-    # each edge takes one from two entries of rem and a wired vertex lacks
-    # nothing, so with an odd sum no choice anywhere completes a graph
-    if sum(rem[i:]) % 2 == 0:
-        wire(i)
+    # each edge takes one from two degrees, so with an odd sum no choice
+    # anywhere completes a graph
+    if sum(degrees) % 2 == 0:
+        yield from wire(0)
 
 
 def _check_workers(workers):
@@ -490,8 +479,7 @@ def _andreev_types(vi, vf, reverse):
     three census invariants.
     """
     degrees = (4,) * vi + (3,) * vf
-    certs = set()
-    _extend(degrees, [set() for _ in degrees], 0, reverse, _certify, certs, _closes_bad_face)
+    certs = set(filter(None, map(_certify, _leaves(degrees, reverse, _closes_bad_face))))
 
     types = []
     for cert in sorted(certs):

@@ -544,6 +544,8 @@ def polyhedron_from_certificate(cert: str) -> AbstractPolyhedron:
 
 
 def _map_from_certificate(cert: str) -> _SphereMap:
+    if not isinstance(cert, str):
+        raise DomainError(f"malformed certificate {cert!r}")
     head, sep, payload = cert.partition("|")
     if not sep or not head.startswith("c"):
         raise DomainError(f"malformed certificate {cert!r}")

@@ -163,6 +163,10 @@ def test_matrix_validation():
         ExactGramMatrix(2, [[two, -SQRT2], [-SQRT3, two]])
     # equal entries need not be one object
     ExactGramMatrix(2, [[two, SurdInteger(0, 1)], [SurdInteger(0, 1), two]])
+    with pytest.raises(DomainError, match="Gram matrix must be 2x2"):
+        ExactGramMatrix(2, [[two, ZERO], [ZERO]])
+    with pytest.raises(DomainError, match=r"Gram entry \(0,1\) is not a SurdInteger"):
+        ExactGramMatrix(2, [[two, 0], [0, two]])
 
 
 @pytest.mark.parametrize("one", [True, 1.0])
@@ -231,6 +235,12 @@ def test_is_arithmetic_on_reference_diagrams():
     assert res.max_len == 3
 
     assert is_arithmetic_noncocompact(tri, max_len=2).arithmetic
+
+    # a Coxeter matrix is taken through its Gram matrix; nothing else is taken
+    matrix = load_coxeter(TRI463)
+    assert is_arithmetic_noncocompact(matrix) == res
+    with pytest.raises(DomainError, match="expected an ExactGramMatrix or CoxeterMatrix"):
+        is_arithmetic_noncocompact([list(row) for row in tri.entries])
 
 
 def _coxeter_from_faces(poly):

@@ -1,11 +1,15 @@
 """Census over candidate (ideal, finite) vertex counts and the minimality theorem."""
 
+import ast
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+
+import dual_census
 
 from raca import catalog, census, polyhedra
 from raca.census import (
@@ -51,11 +55,9 @@ def _leaf_certificate(adj):
 
 
 def _sphere_type_certificates(vi, vf):
-    """Every sphere type of the pair, sorted: `_extend` with the ungated certificate."""
+    """Every sphere type of the pair, sorted: `_leaves` with the ungated certificate."""
     degrees = (4,) * vi + (3,) * vf
-    certs = set()
-    census._extend(degrees, [set() for _ in degrees], 0, False, _leaf_certificate, certs)
-    return sorted(certs)
+    return sorted(set(filter(None, map(_leaf_certificate, census._leaves(degrees, False)))))
 
 
 def test_candidate_pairs_exact():
@@ -201,7 +203,7 @@ def test_verify_minimality():
 def test_verify_minimality_rejects_bad_input_before_any_work(monkeypatch):
     # an input error raises, as in enumerate_types, and is no failed theorem
     census._andreev_types.cache_clear()
-    monkeypatch.setattr(census, "_extend", None)  # the backtracker must not run
+    monkeypatch.setattr(census, "_leaves", None)  # the backtracker must not run
     with pytest.raises(DomainError, match="unknown condition3 reading 'bogus'"):
         verify_minimality(condition3_reading="bogus")
     with pytest.raises(DomainError, match="workers must be a positive integer"):
@@ -270,16 +272,11 @@ def _networkx_certify(adj):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_certify_matches_networkx_on_every_leaf(reverse):
     outcomes = []
-
-    def both(adj):
-        got = _leaf_certificate(adj)
-        outcomes.append(got is not None)
-        assert got == _networkx_certify(adj), [sorted(a) for a in adj]
-        return got
-
     for pair in candidate_pairs():
-        degrees = (4,) * pair.v_inf + (3,) * pair.v_f
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, both, set())
+        for adj in census._leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
+            got = _leaf_certificate(adj)
+            outcomes.append(got is not None)
+            assert got == _networkx_certify(adj), [sorted(a) for a in adj]
     # the leaf and certificate counts of the funnel, summed over the pairs
     assert (len(outcomes), sum(outcomes)) == (1433, 354)
 
@@ -301,7 +298,9 @@ def test_certify_rejects_graphs_that_are_not_polyhedral():
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     sizes = Counter(map(len, census._peripheral_cycles(dict(enumerate(adjacency(10, petersen))))))
     assert sizes == {5: 12, 6: 10}
-    for n, edges in [(6, k33), (8, two_k4), (8, dumbbell), (10, petersen)]:
+    # planar and 3-connected, but the hub has degree 5
+    wheel = [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]
+    for n, edges in [(6, k33), (8, two_k4), (8, dumbbell), (10, petersen), (6, wheel)]:
         adj = adjacency(n, edges)
         assert census._leaf_map(adj) is None
         assert census._certify(adj) is None
@@ -367,6 +366,8 @@ def _canonical_combos(groups, need, reverse):
 
 
 def test_prefix_choices_keep_the_reference_order():
+    # the table `census._leaves` walks, forwards and, when `reverse` is set,
+    # backwards, gives the reference choices in both orders
     rng = random.Random(20240607)
     for _ in range(2000):
         labels = rng.sample(range(40), 12)
@@ -377,10 +378,14 @@ def test_prefix_choices_keep_the_reference_order():
                 break
             groups.append(labels[:size])
             labels = labels[size:]
+        sizes = [len(group) for group in groups]
         for need in range(6):
-            got = list(census._prefix_choices(groups, need))
-            assert got == _canonical_combos(groups, need, False), (groups, need)
-            assert got[::-1] == _canonical_combos(groups, need, True), (groups, need)
+            vectors = census._count_vectors(tuple(sizes), need)
+            assert list(vectors) == _count_vectors(sizes, need), (sizes, need)
+            combos = [tuple(j for group, t in zip(groups, counts) for j in group[:t])
+                      for counts in vectors]
+            assert combos == _canonical_combos(groups, need, False), (groups, need)
+            assert combos[::-1] == _canonical_combos(groups, need, True), (groups, need)
 
 
 def _reference_feasible(degrees, adj, i):
@@ -394,14 +399,13 @@ def _reference_feasible(degrees, adj, i):
     return total % 2 == 0
 
 
-def _reference_extend(degrees, adj, i, reverse, certify, out, prune=None):
+def _reference_extend(degrees, adj, i, reverse, visit, prune=None):
     """A backtracker that recomputes its groups and feasibility at every
-    node: the reference for the search tree of `census._extend`."""
+    node, and calls `visit` on each completed graph: the reference for the
+    search tree of `census._leaves`."""
     n = len(degrees)
     if i == n:
-        cert = certify(adj)
-        if cert is not None:
-            out.add(cert)
+        visit(adj)
         return
     groups = {}
     for j in range(i + 1, n):
@@ -413,63 +417,49 @@ def _reference_extend(degrees, adj, i, reverse, certify, out, prune=None):
             adj[i].add(j)
             adj[j].add(i)
         if _reference_feasible(degrees, adj, i) and not (prune and prune(degrees, adj, i)):
-            _reference_extend(degrees, adj, i + 1, reverse, certify, out, prune)
+            _reference_extend(degrees, adj, i + 1, reverse, visit, prune)
         for j in combo:
             adj[i].remove(j)
             adj[j].remove(i)
 
 
-def _leaf_snapshots(extend, degrees, reverse, prune, wired=()):
-    """The adjacency `certify` sees at each leaf, in order, `out`, and each
-    (i, adjacency) that `prune` is asked about, in order.
-
-    The search starts after vertex 0 when it is given edges `wired` at 0.
-    """
-    adj = [set() for _ in degrees]
-    for j in wired:
-        adj[0].add(j)
-        adj[j].add(0)
-    before = [set(nbrs) for nbrs in adj]
-    leaves, out, asked = [], set(), []
-
-    def snapshot(adj):
-        leaves.append([sorted(nbrs) for nbrs in adj])
-        # every third leaf gives a certificate, so `out` is compared too
-        return None if len(leaves) % 3 else len(leaves)
-
-    def recorded(degrees, adj, i):
-        asked.append((i, [sorted(nbrs) for nbrs in adj]))
-        return prune(degrees, adj, i)
-
-    extend(degrees, adj, 1 if wired else 0, reverse, snapshot, out,
-           recorded if prune else None)
-    assert adj == before
-    return leaves, out, asked
-
-
 _LEAF_CASES = [
-    *[pytest.param((4,) * vi + (3,) * vf, census._closes_bad_face, (), id=f"pruned-{vi}-{vf}")
+    *[pytest.param((4,) * vi + (3,) * vf, census._closes_bad_face, id=f"pruned-{vi}-{vf}")
       for vi, vf in [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (4, 2), (3, 6)]],
-    *[pytest.param((3,) * n, None, (), id=f"cubic-{n}") for n in (4, 6, 8, 10, 12)],
-    *[pytest.param((4,) * n, None, (), id=f"quartic-{n}") for n in (6, 7, 8, 9, 10)],
-    pytest.param((4, 4) + (3,) * 8, census._closes_bad_face, (1, 2, 5, 9),
-                 id="pruned-2-8-from-vertex-1"),
-    pytest.param((3,) * 10, None, (1, 2, 3), id="cubic-10-from-vertex-1"),
-    pytest.param((4, 4) + (3,) * 7, census._closes_bad_face, (), id="pruned-2-7-odd"),
+    *[pytest.param((3,) * n, None, id=f"cubic-{n}") for n in (4, 6, 8, 10, 12)],
+    *[pytest.param((4,) * n, None, id=f"quartic-{n}") for n in (6, 7, 8, 9, 10)],
+    pytest.param((4, 4) + (3,) * 7, census._closes_bad_face, id="pruned-2-7-odd"),
 ]
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("degrees,prune,wired", _LEAF_CASES)
-def test_extend_visits_the_reference_leaves_in_order(degrees, prune, wired, reverse):
+@pytest.mark.parametrize("degrees,prune", _LEAF_CASES)
+def test_extend_visits_the_reference_leaves_in_order(degrees, prune, reverse):
     # the incremental state must not change the search tree: the same
     # adjacency at every leaf and at every node `prune` sees, in the same
-    # order, and `adj` left as found
-    leaves, out, asked = _leaf_snapshots(census._extend, degrees, reverse, prune, wired)
-    expected = _leaf_snapshots(_reference_extend, degrees, reverse, prune, wired)
-    assert (leaves, out, asked) == expected
+    # order, as the reference search
+    def snapshot(adj):
+        return [sorted(nbrs) for nbrs in adj]
+
+    def recording(seen):
+        def recorded(degrees, adj, i):
+            seen.append((i, snapshot(adj)))
+            return prune(degrees, adj, i)
+        return recorded if prune else None
+
+    got, expected, yielded = [], [], []
+    for adj in census._leaves(degrees, reverse, recording(got)):
+        got.append(("leaf", snapshot(adj)))
+        yielded.append(adj)
+    _reference_extend(degrees, [set() for _ in degrees], 0, reverse,
+                      lambda adj: expected.append(("leaf", snapshot(adj))), recording(expected))
+    assert got == expected
     # an odd degree sum completes no graph, and is cut off before any node
-    assert bool(leaves) == (sum(degrees) % 2 == 0)
+    assert bool(yielded) == (sum(degrees) % 2 == 0)
+    # every leaf is the one live list, which holds only empty sets once the
+    # search is exhausted
+    assert all(adj is yielded[0] for adj in yielded)
+    assert yielded[:1] in ([], [[set() for _ in degrees]])
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -481,10 +471,43 @@ def test_backtracker_reproduces_published_counts(degree, counts, reverse):
     # CandidatePair rightly rejects these sequences, so the backtracker is
     # called directly: an independent check on its symmetry pruning
     for n, expected in counts.items():
-        degrees = (degree,) * n
-        certs = set()
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, _leaf_certificate, certs)
+        certs = set(filter(None, map(_leaf_certificate, census._leaves((degree,) * n, reverse))))
         assert len(certs) == expected, n
+
+
+def test_dual_generator_reproduces_the_triangulation_counts():
+    # OEIS A000109 counts the classes; Tutte's rooted count (OEIS A000260)
+    # checks the dedup, since every class T is rooted in 4E/|Aut T| ways
+    counts, masses = [], []
+    for n in range(4, 10):
+        found = dual_census.triangulations(n)
+        counts.append(len(found))
+        masses.append(sum(Fraction(4 * (3 * n - 6), dual_census.automorphisms(rot))
+                          for rot in found))
+        assert masses[-1] == dual_census.tutte(n), n
+    assert counts == [1, 1, 2, 5, 14, 50]
+    assert masses == [1, 3, 13, 68, 399, 2530]
+
+
+@pytest.mark.parametrize("vi,vf", [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (4, 2), (3, 6), (2, 10)])
+def test_dual_census_finds_the_same_andreev_types(vi, vf):
+    # an independent route: triangulations on F vertices minus V_inf edges
+    dual = dual_census.dual_types(vi, vf)
+    for reverse in (False, True):
+        assert dual == [cert for cert, _ in census._andreev_types(vi, vf, reverse)], reverse
+
+
+def test_dual_census_shares_no_code_with_the_census():
+    tree = ast.parse(open(dual_census.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not {name for name in imported if name.startswith("raca.census")}
+    assert imported >= {"raca.polyhedra._sphere_map", "raca.polyhedra._andreev"}
 
 
 def test_both_readings_share_one_backtrack(monkeypatch):
@@ -509,10 +532,9 @@ def test_face_prune_drops_no_realizable_type(reverse):
     found = {}
     for pair in candidate_pairs():
         degrees = (4,) * pair.v_inf + (3,) * pair.v_f
-        pruned, full = set(), set()
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, census._certify, full)
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, census._certify, pruned,
-                       census._closes_bad_face)
+        full = set(filter(None, map(census._certify, census._leaves(degrees, reverse))))
+        pruned = set(filter(None, map(census._certify,
+                                      census._leaves(degrees, reverse, census._closes_bad_face))))
         assert pruned == full, (pair, reverse)
         found[pair.v_inf, pair.v_f] = len(full)
     assert found == {(2, 4): 0, (2, 6): 0, (2, 8): 1, (3, 2): 1, (3, 4): 1}
@@ -570,11 +592,8 @@ def test_one_ideal_vertex_pairs_have_no_andreev_type(reverse):
     # not for want of graphs: the unpruned search has sphere types there, none
     # of which passes Andreev's conditions
     for vf, types in [(2, 0), (4, 1), (6, 2), (8, 8)]:
-        degrees = (4,) + (3,) * vf
         assert len(_sphere_type_certificates(1, vf)) == types
-        full = set()
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, census._certify, full)
-        assert full == set(), vf
+        assert not any(map(census._certify, census._leaves((4,) + (3,) * vf, reverse))), vf
 
 
 def test_every_sphere_type_round_trips_with_the_census_invariants():
@@ -596,24 +615,20 @@ def test_leaf_andreev_matches_the_round_trip(reverse):
     # the census gate reads the leaf's own map, the verdict the rebuilt one
     rebuilt = {}
     leaves = []
-
-    def check(adj):
-        m = census._leaf_map(adj)
-        if m is None:
-            return None
-        cert = _canonical_form(m)
-        if cert not in rebuilt:
-            rebuilt[cert] = _map_from_certificate(cert)
-        passed = [_andreev(m, reading).passed for reading in (READING_DISJOINT, READING_DISTINCT)]
-        assert passed == [_andreev(rebuilt[cert], reading).passed
-                          for reading in (READING_DISJOINT, READING_DISTINCT)]
-        assert census._certify(adj) == (cert if any(passed) else None)
-        leaves.append(any(passed))
-        return cert
-
     for pair in candidate_pairs():
-        degrees = (4,) * pair.v_inf + (3,) * pair.v_f
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, check, set())
+        for adj in census._leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
+            m = census._leaf_map(adj)
+            if m is None:
+                continue
+            cert = _canonical_form(m)
+            if cert not in rebuilt:
+                rebuilt[cert] = _map_from_certificate(cert)
+            passed = [_andreev(m, reading).passed
+                      for reading in (READING_DISJOINT, READING_DISTINCT)]
+            assert passed == [_andreev(rebuilt[cert], reading).passed
+                              for reading in (READING_DISJOINT, READING_DISTINCT)]
+            assert census._certify(adj) == (cert if any(passed) else None)
+            leaves.append(any(passed))
     assert (len(leaves), len(rebuilt)) == (354, 80)
     assert 0 < sum(leaves) < len(leaves)
 
@@ -622,20 +637,15 @@ def test_leaf_andreev_matches_the_round_trip(reverse):
 def test_leaf_map_matches_the_validated_map(reverse):
     # one builder behind both entry points: the lemma's counts and validate
     leaves = []
-
-    def check(adj):
-        m = census._leaf_map(adj)
-        if m is None:
-            return None
-        full = _sphere_map(AbstractPolyhedron(len(adj), m.poly.faces))
-        assert (m.degrees, m.dual, m.profile) == (full.degrees, full.dual, full.profile)
-        assert m.degrees == tuple(len(nbrs) for nbrs in adj)
-        leaves.append(m)
-        return None
-
     for pair in candidate_pairs():
-        degrees = (4,) * pair.v_inf + (3,) * pair.v_f
-        census._extend(degrees, [set() for _ in degrees], 0, reverse, check, set())
+        for adj in census._leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
+            m = census._leaf_map(adj)
+            if m is None:
+                continue
+            full = _sphere_map(AbstractPolyhedron(len(adj), m.poly.faces))
+            assert (m.degrees, m.dual, m.profile) == (full.degrees, full.dual, full.profile)
+            assert m.degrees == tuple(len(nbrs) for nbrs in adj)
+            leaves.append(m)
     assert len(leaves) == 354
 
 
@@ -844,17 +854,12 @@ def _reference_certify(adj):
     *[(4,) * n for n in (6, 7, 8, 9, 10)],
 ], ids=lambda d: f"{d.count(4)}-{d.count(3)}")
 def test_leaf_check_matches_the_references(degrees, reverse):
-    leaves = []
-
-    def both(adj):
+    leaves = 0
+    for adj in census._leaves(degrees, reverse):
         graph = dict(enumerate(adj))
         assert census._peripheral_cycles(graph) == _reference_peripheral_cycles(graph)
-        got = _leaf_certificate(adj)
-        assert got == _reference_certify(adj), [sorted(a) for a in adj]
-        leaves.append(got is not None)
-        return got
-
-    census._extend(degrees, [set() for _ in degrees], 0, reverse, both, set())
+        assert _leaf_certificate(adj) == _reference_certify(adj), [sorted(a) for a in adj]
+        leaves += 1
     assert leaves
 
 
@@ -893,7 +898,7 @@ def _labelled_polyhedral_graphs(degrees):
     """Graphs on 0..n-1 with these degrees that `_leaf_map` accepts, each once.
 
     Vertex i takes every set of higher neighbours with room left: no
-    symmetry pruning and no dedup, unlike `census._extend`.
+    symmetry pruning and no dedup, unlike `census._leaves`.
     """
     n = len(degrees)
     adj = [set() for _ in degrees]

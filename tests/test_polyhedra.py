@@ -346,6 +346,20 @@ def test_certificate_rejects_malformed_strings():
             polyhedron_from_certificate(bad)
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("c4|1,1,2;0,2,3;0,1,3;0,1,2", "certificate row for vertex 0 is not a rotation"),
+    ("c4|1,2,3;2,3;0,1,3;0,1,2", r"certificate dart \(0,1\) has no reverse"),
+    # the P32 certificate with labels 0 and 4 swapped: the same map, not canonical
+    ("c5|1,3,2;4,3,0,2;4,1,0,3;4,2,0,1;1,2,3", "string is not a canonical certificate"),
+    (None, "malformed certificate None"),
+    (123, "malformed certificate 123"),
+    (b"c5|1,2,3;0,3,4,2;0,1,4,3;0,2,4,1;1,3,2", "malformed certificate b'c5"),
+], ids=["repeated-neighbour", "one-way-dart", "relabelled", "none", "int", "bytes"])
+def test_certificate_rejection_names_the_fault(bad, message):
+    with pytest.raises(DomainError, match=message):
+        polyhedron_from_certificate(bad)
+
+
 def test_catalog_families_validate():
     for n in range(3, 9):
         profile = validate(catalog.antiprism(n))

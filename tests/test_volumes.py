@@ -218,7 +218,7 @@ def test_atkinson_ideal():
 
 
 def test_atkinson_ideal_domain():
-    for bad in (5, 4, 0, -6, 2**53 + 1, 10**400):
+    for bad in (5, 4, 0, -6, 2**53 + 1, 10**400, 6.0):
         with pytest.raises(DomainError):
             atkinson_bounds_ideal(bad)
 
@@ -239,6 +239,8 @@ def test_mixed_bounds_domain():
         mixed_bounds(2, 3)
     with pytest.raises(DomainError):
         mixed_bounds(2, -2)
+    with pytest.raises(DomainError, match="V_inf must be an integer"):
+        mixed_bounds(1.0, 2)
     for big in ((10**400, 2), (2, 10**400), (2**53 + 1, 2)):
         with pytest.raises(DomainError):
             mixed_bounds(*big)
