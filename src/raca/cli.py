@@ -71,7 +71,7 @@ def parse_angle(text) -> float:
             k = int(m.group(2))
             value = math.pi / k
         except ZeroDivisionError:
-            raise DomainError("angle pi/0 is not a number") from None
+            raise DomainError(f"angle {s} is not a number") from None
         except (ValueError, OverflowError):  # too many digits for int() or a float
             raise DomainError(
                 f"angle denominator of {len(m.group(2))} digits is out of range") from None

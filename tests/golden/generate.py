@@ -78,10 +78,11 @@ ARITH = {"coxeter_P32": (None, 3, 1),
          "coxeter_k40": (8,),
          "coxeter_true-diagonal": (None,)}
 
-# each lob, volume and bounds leaf -> its argument lists; the last of lob,
-# lobell, named, compact and mixed is an input error (exit 3)
+# each lob, volume and bounds leaf -> its argument lists; the last of
+# lobell, named, compact and mixed, and the last three of lob, are input
+# errors (exit 3)
 PRICES = {
-    "lob": ("pi/4", "-pi/3", "0", "1e16", "nan"),
+    "lob": ("pi/4", "-pi/3", "0", "1e16", "nan", "-pi/0", "pi/00"),
     "volume orthoscheme": ("pi/3 pi/4 pi/4", "pi/4 pi/4 pi/4"),
     "volume lobell": ("5", "12", "1000000", "4"),
     "volume antiprism": ("3", "4", "1000000"),

@@ -61,8 +61,9 @@ def test_parse_angle():
     assert parse_angle("-pi/6") == pytest.approx(-math.pi / 6)
     assert parse_angle("pi") == pytest.approx(math.pi)
     assert parse_angle("0.25") == 0.25
-    with pytest.raises(DomainError):
-        parse_angle("pi/0")
+    for text in ("pi/0", "-pi/0", "pi/00"):  # named as typed
+        with pytest.raises(DomainError, match=f"^angle {text} is not a number$"):
+            parse_angle(text)
     with pytest.raises(DomainError):
         parse_angle("two")
     for digits in (400, 5000):  # too large for a float, too long for int()
