@@ -151,8 +151,8 @@ def _connected(adj: dict, vertices, removed=frozenset()) -> bool:
 
 class _SphereMap:
     """A sphere map: a polyhedron with the incidences every check reads.  Only
-    `_new_map` builds one, for `_sphere_map` and for `census._leaf_map`.  A
-    plain class with slots: no check compares, hashes or copies a map."""
+    `_new_map` builds one, for `_sphere_map` and for `census._primal_map`.
+    A plain class with slots: no check compares, hashes or copies a map."""
 
     __slots__ = ("poly", "degrees", "dual", "profile")
 
@@ -368,9 +368,10 @@ def _lemma_rem(m: _SphereMap) -> LemmaResult:
     A map that passes `_andreev` under either reading passes the lemma.
     A triple that `disjoint_endpoints` tests is tested by `distinct_edges`
     too, so it is enough to find a failure under `disjoint_endpoints`.
-    The map is a polyhedron, checked by `_sphere_map` or by the lemma of
-    `census._leaf_map`: 3-connected, its faces are induced cycles, two
-    faces share at most one edge, and the faces at a vertex are distinct.
+    The map is a polyhedron, checked by `_sphere_map` or by the
+    polyhedrality lemma of `census._dual_certificates`: 3-connected, its
+    faces are induced cycles, two faces share at most one edge, and the
+    faces at a vertex are distinct.
     Write x' for the third neighbour of a degree-3 vertex x on a face, so
     the two faces at x other than that face share the edge xx'.
 

@@ -15,13 +15,13 @@ contracting an edge that lies on no separating triangle, which leaves a
 simple triangulation, and every triangulation other than K4 has such an
 edge (E. Steinitz & H. Rademacher, *Vorlesungen über die Theorie der
 Polyeder*, 1934; D. W. Barnette, *On generating planar graphs*, Discrete
-Math. 7 (1974)).  `splits` makes every split of every vertex, in both
-assignments of the two sides, so starting from K4 it reaches every class.
-The dedup is checked without trusting it: the rooted mass of the classes,
-the sum of 4E/|Aut T|, must be Tutte's count of rooted simple
-triangulations, 2(4k+1)!/((k+1)!(3k+2)!) with k = n - 3 (W. T. Tutte,
-*A census of planar triangulations*, Canad. J. Math. 14 (1962); OEIS
-A000260).  A class merged or split by mistake changes the sum.
+Math. 7 (1974)).  `splits` makes every split of every vertex, each once,
+so starting from K4 it reaches every class.  The dedup is checked without
+trusting it: the rooted mass of the classes, the sum of 4E/|Aut T|, must
+be Tutte's count of rooted simple triangulations, 2(4k+1)!/((k+1)!(3k+2)!)
+with k = n - 3 (W. T. Tutte, *A census of planar triangulations*, Canad.
+J. Math. 14 (1962); OEIS A000260).  A class merged or split by mistake
+changes the sum.
 
 Lemma (b).  If the primal of Q passes Andreev's conditions, adding either
 diagonal to each quadrilateral of Q gives a simple triangulation, and Q is
@@ -49,7 +49,6 @@ sides and q degree-4 vertices, so Andreev's conditions ask for d >= 3 and
 d + q >= 5 (the face lemma, `polyhedra._lemma_rem`).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -114,17 +113,16 @@ def tutte(n):
 def splits(rot):
     """Each triangulation made by splitting one vertex v of `rot`.
 
-    For neighbour positions i != j of v, v keeps n_i ... n_j and a new
+    For neighbour positions i < j of v, v keeps n_i ... n_j and a new
     vertex u takes n_j ... n_i; both stay adjacent to n_i and n_j, and to
-    each other.
+    each other.  The pair (j, i) would give the same triangulation with u
+    and v swapped, so each split is made once.
     """
     u = len(rot)
     for v, nbrs in enumerate(rot):
         d = len(nbrs)
         for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
+            for j in range(i + 1, d):
                 keep = [nbrs[(i + k) % d] for k in range((j - i) % d + 1)]
                 take = [nbrs[(j + k) % d] for k in range((i - j) % d + 1)]
                 new = [list(around) for around in rot] + [take + [v]]

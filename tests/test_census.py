@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 import dual_census
+import primal_census
 
 from raca import catalog, census, polyhedra
 from raca.census import (
@@ -18,7 +19,7 @@ from raca.census import (
     enumerate_types,
     verify_minimality,
 )
-from raca.errors import DomainError, PolyhedronError
+from raca.errors import DomainError, PolyhedronError, ResourceLimitError
 from raca.lobachevsky import catalan_constant
 from raca.polyhedra import (
     READING_DISJOINT,
@@ -50,14 +51,15 @@ G = catalan_constant().value
 
 def _leaf_certificate(adj):
     """The ungated leaf certificate: any sphere type, realizable or not."""
-    m = census._leaf_map(adj)
+    m = primal_census.leaf_map(adj)
     return None if m is None else _canonical_form(m)
 
 
 def _sphere_type_certificates(vi, vf):
-    """Every sphere type of the pair, sorted: `_leaves` with the ungated certificate."""
+    """Every sphere type of the pair, sorted: the primal search with the
+    ungated certificate."""
     degrees = (4,) * vi + (3,) * vf
-    return sorted(set(filter(None, map(_leaf_certificate, census._leaves(degrees, False)))))
+    return sorted(set(filter(None, map(_leaf_certificate, primal_census.leaves(degrees, False)))))
 
 
 def test_candidate_pairs_exact():
@@ -203,7 +205,7 @@ def test_verify_minimality():
 def test_verify_minimality_rejects_bad_input_before_any_work(monkeypatch):
     # an input error raises, as in enumerate_types, and is no failed theorem
     census._andreev_types.cache_clear()
-    monkeypatch.setattr(census, "_leaves", None)  # the backtracker must not run
+    monkeypatch.setattr(census, "_dual_certificates", None)  # the census must not run
     with pytest.raises(DomainError, match="unknown condition3 reading 'bogus'"):
         verify_minimality(condition3_reading="bogus")
     with pytest.raises(DomainError, match="workers must be a positive integer"):
@@ -273,7 +275,7 @@ def _networkx_certify(adj):
 def test_certify_matches_networkx_on_every_leaf(reverse):
     outcomes = []
     for pair in candidate_pairs():
-        for adj in census._leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
+        for adj in primal_census.leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
             got = _leaf_certificate(adj)
             outcomes.append(got is not None)
             assert got == _networkx_certify(adj), [sorted(a) for a in adj]
@@ -296,19 +298,20 @@ def test_certify_rejects_graphs_that_are_not_polyhedral():
     # cubic, 3-connected and nonplanar: 22 peripheral cycles against E - V + 2 = 7
     petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] \
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    sizes = Counter(map(len, census._peripheral_cycles(dict(enumerate(adjacency(10, petersen))))))
+    sizes = Counter(map(len, primal_census.peripheral_cycles(
+        dict(enumerate(adjacency(10, petersen))))))
     assert sizes == {5: 12, 6: 10}
     # planar and 3-connected, but the hub has degree 5
     wheel = [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]
     for n, edges in [(6, k33), (8, two_k4), (8, dumbbell), (10, petersen), (6, wheel)]:
         adj = adjacency(n, edges)
-        assert census._leaf_map(adj) is None
-        assert census._certify(adj) is None
+        assert primal_census.leaf_map(adj) is None
+        assert primal_census.certify(adj) is None
         assert _networkx_certify(adj) is None
     prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     adj = adjacency(6, prism)
     assert _leaf_certificate(adj) == canonical_form(catalog.triangular_prism())
-    assert census._certify(adj) is None  # a sphere type, but five faces fail condition 1
+    assert primal_census.certify(adj) is None  # a sphere type, but five faces fail condition 1
 
 
 def test_certify_rejects_faces_that_miss_an_edge(monkeypatch):
@@ -322,9 +325,9 @@ def test_certify_rejects_faces_that_miss_an_edge(monkeypatch):
     assert _leaf_certificate(adj) == canonical_form(cube)
     adj[0].add(6)  # vertex 6 is opposite vertex 0
     adj[6].add(0)
-    monkeypatch.setattr(census, "_peripheral_cycles",
+    monkeypatch.setattr(primal_census, "peripheral_cycles",
                         lambda graph, limit=None: list(cube.faces))
-    assert census._leaf_map(adj) is None
+    assert primal_census.leaf_map(adj) is None
 
 
 def _count_vectors(sizes, need):
@@ -366,7 +369,7 @@ def _canonical_combos(groups, need, reverse):
 
 
 def test_prefix_choices_keep_the_reference_order():
-    # the table `census._leaves` walks, forwards and, when `reverse` is set,
+    # the table `primal_census.leaves` walks, forwards and, when `reverse` is set,
     # backwards, gives the reference choices in both orders
     rng = random.Random(20240607)
     for _ in range(2000):
@@ -380,7 +383,7 @@ def test_prefix_choices_keep_the_reference_order():
             labels = labels[size:]
         sizes = [len(group) for group in groups]
         for need in range(6):
-            vectors = census._count_vectors(tuple(sizes), need)
+            vectors = primal_census.count_vectors(tuple(sizes), need)
             assert list(vectors) == _count_vectors(sizes, need), (sizes, need)
             combos = [tuple(j for group, t in zip(groups, counts) for j in group[:t])
                       for counts in vectors]
@@ -402,7 +405,7 @@ def _reference_feasible(degrees, adj, i):
 def _reference_extend(degrees, adj, i, reverse, visit, prune=None):
     """A backtracker that recomputes its groups and feasibility at every
     node, and calls `visit` on each completed graph: the reference for the
-    search tree of `census._leaves`."""
+    search tree of `primal_census.leaves`."""
     n = len(degrees)
     if i == n:
         visit(adj)
@@ -424,11 +427,11 @@ def _reference_extend(degrees, adj, i, reverse, visit, prune=None):
 
 
 _LEAF_CASES = [
-    *[pytest.param((4,) * vi + (3,) * vf, census._closes_bad_face, id=f"pruned-{vi}-{vf}")
+    *[pytest.param((4,) * vi + (3,) * vf, primal_census.closes_bad_face, id=f"pruned-{vi}-{vf}")
       for vi, vf in [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (4, 2), (3, 6)]],
     *[pytest.param((3,) * n, None, id=f"cubic-{n}") for n in (4, 6, 8, 10, 12)],
     *[pytest.param((4,) * n, None, id=f"quartic-{n}") for n in (6, 7, 8, 9, 10)],
-    pytest.param((4, 4) + (3,) * 7, census._closes_bad_face, id="pruned-2-7-odd"),
+    pytest.param((4, 4) + (3,) * 7, primal_census.closes_bad_face, id="pruned-2-7-odd"),
 ]
 
 
@@ -448,7 +451,7 @@ def test_extend_visits_the_reference_leaves_in_order(degrees, prune, reverse):
         return recorded if prune else None
 
     got, expected, yielded = [], [], []
-    for adj in census._leaves(degrees, reverse, recording(got)):
+    for adj in primal_census.leaves(degrees, reverse, recording(got)):
         got.append(("leaf", snapshot(adj)))
         yielded.append(adj)
     _reference_extend(degrees, [set() for _ in degrees], 0, reverse,
@@ -471,7 +474,8 @@ def test_backtracker_reproduces_published_counts(degree, counts, reverse):
     # CandidatePair rightly rejects these sequences, so the backtracker is
     # called directly: an independent check on its symmetry pruning
     for n, expected in counts.items():
-        certs = set(filter(None, map(_leaf_certificate, census._leaves((degree,) * n, reverse))))
+        certs = set(filter(None, map(_leaf_certificate,
+                                     primal_census.leaves((degree,) * n, reverse))))
         assert len(certs) == expected, n
 
 
@@ -479,17 +483,94 @@ def test_dual_generator_reproduces_the_triangulation_counts():
     # OEIS A000109 counts the classes; Tutte's rooted count (OEIS A000260)
     # checks the dedup, since every class T is rooted in 4E/|Aut T| ways
     counts, masses = [], []
-    for n in range(4, 10):
+    for n in range(4, 11):
         found = dual_census.triangulations(n)
         counts.append(len(found))
         masses.append(sum(Fraction(4 * (3 * n - 6), dual_census.automorphisms(rot))
                           for rot in found))
         assert masses[-1] == dual_census.tutte(n), n
+    assert counts == [1, 1, 2, 5, 14, 50, 233]
+    assert masses == [1, 3, 13, 68, 399, 2530, 16965]
+
+
+def test_splits_make_every_split_of_every_vertex_once():
+    # lemma (a) of tests/dual_census.py needs every split: a split of v is
+    # fixed by the two neighbours a, b that v and the new vertex u come to
+    # share, and u's row ends with v; the counts above cannot see a missing
+    # split, since every class has several parents
+    for n in range(4, 9):
+        for rot in dual_census.triangulations(n):
+            made = Counter()
+            for child in dual_census.splits(rot):
+                for v, row in enumerate(child):
+                    assert len(set(row)) == len(row) >= 3
+                    for a, b in zip(row, row[1:] + row[:1]):
+                        # the triangle vab reads abv around a
+                        assert child[a][(child[a].index(b) + 1) % len(child[a])] == v
+                u = n
+                v = child[u][-1]
+                made[v, frozenset(child[u]) & frozenset(child[v])] += 1
+            assert made == Counter({(v, frozenset(pair)): 1 for v, row in enumerate(rot)
+                                    for pair in combinations(row, 2)})
+
+
+def _table(n):
+    """The census table's entries on n vertices, each as (rows, generators)."""
+    head = f"c{n}|"
+    return [([tuple(map(int, row.split(","))) for row in code[len(head):].split(";")],
+             [tuple(map(int, perm)) for perm in perms])
+            for code, *perms in map(str.split, census._TRIANGULATIONS) if code.startswith(head)]
+
+
+def _is_automorphism(rows, p):
+    """True when p maps the rotation of every vertex onto that of its image,
+    all in the same sense or all reversed."""
+    def same_cycle(a, b):
+        return len(a) == len(b) and any(a == b[k:] + b[:k] for k in range(len(b)))
+
+    return any(all(same_cycle(list(rows[p[v]])[::sense], [p[w] for w in row])
+                   for v, row in enumerate(rows)) for sense in (1, -1))
+
+
+def _group_order(n, generators):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for g in frontier:
+        for p in generators:
+            h = tuple(p[x] for x in g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return len(group)
+
+
+def test_triangulation_table_matches_the_generator():
+    # entry by entry and in order: the least code of each class the
+    # generator makes, and generators of its whole automorphism group
+    assert all(entry.startswith(tuple(f"c{n}|" for n in range(4, 10)))
+               for entry in census._TRIANGULATIONS)
+    counts, masses = [], []
+    for n in range(4, 10):
+        table = _table(n)
+        expected = dual_census.triangulations(n)
+        assert [tuple(rows) for rows, _ in table] == \
+            [dual_census.canonical_code(rot) for rot in expected], n
+        orders = []
+        for (rows, generators), rot in zip(table, expected):
+            assert all(_is_automorphism(rows, p) for p in generators), rows
+            orders.append(_group_order(n, generators))
+            assert orders[-1] == dual_census.automorphisms(rot), rows
+        counts.append(len(table))
+        masses.append(sum(Fraction(4 * (3 * n - 6), order) for order in orders))
+        assert masses[-1] == dual_census.tutte(n), n
     assert counts == [1, 1, 2, 5, 14, 50]
-    assert masses == [1, 3, 13, 68, 399, 2530]
+    assert len(census._TRIANGULATIONS) == 73
 
 
-@pytest.mark.parametrize("vi,vf", [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (4, 2), (3, 6), (2, 10)])
+_TIER1_PAIRS = [(2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (4, 2), (3, 6), (2, 10)]
+
+
+@pytest.mark.parametrize("vi,vf", _TIER1_PAIRS)
 def test_dual_census_finds_the_same_andreev_types(vi, vf):
     # an independent route: triangulations on F vertices minus V_inf edges
     dual = dual_census.dual_types(vi, vf)
@@ -497,8 +578,16 @@ def test_dual_census_finds_the_same_andreev_types(vi, vf):
         assert dual == [cert for cert, _ in census._andreev_types(vi, vf, reverse)], reverse
 
 
-def test_dual_census_shares_no_code_with_the_census():
-    tree = ast.parse(open(dual_census.__file__, encoding="utf-8").read())
+@pytest.mark.parametrize("vi,vf", _TIER1_PAIRS)
+def test_primal_backtracker_finds_the_same_andreev_types(vi, vf):
+    # the primal reference, a search over graphs with these degrees
+    for reverse in (False, True):
+        assert primal_census.primal_types(vi, vf, reverse) == \
+            [cert for cert, _ in census._andreev_types(vi, vf, reverse)], reverse
+
+
+def _imports(module):
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -506,25 +595,120 @@ def test_dual_census_shares_no_code_with_the_census():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def test_dual_census_shares_no_code_with_the_census():
+    imported = _imports(dual_census)
     assert not {name for name in imported if name.startswith("raca.census")}
     assert imported >= {"raca.polyhedra._sphere_map", "raca.polyhedra._andreev"}
 
 
+def test_primal_census_shares_no_code_with_the_census():
+    imported = _imports(primal_census)
+    assert not {name for name in imported if name.startswith("raca.census")}
+    assert imported >= {"raca.polyhedra._new_map", "raca.polyhedra._andreev"}
+
+
 def test_both_readings_share_one_backtrack(monkeypatch):
     census._andreev_types.cache_clear()
-    certify = census._certify
-    leaves = []
-
-    def counted(adj):
-        leaves.append(len(adj))
-        return certify(adj)
-
-    monkeypatch.setattr(census, "_certify", counted)
+    calls = Counter()
+    for name in ("_dual_certificates", "_primal_map"):
+        monkeypatch.setattr(census, name, _counted(getattr(census, name), calls, name))
     assert verify_minimality().verified
     assert not verify_minimality(condition3_reading=READING_DISTINCT).verified
-    # one reading's worth, not 180: the backtracker drops a partial graph
-    # once it closes a face that fails the face lemma (1,433 leaves unpruned)
-    assert len(leaves) == 90
+    # one search per candidate pair for both readings, and one map per
+    # realizable type: (2,4) and (2,6) stop on their negative slack
+    assert calls == {"_dual_certificates": 5, "_primal_map": 3}
+
+
+class _CountedList(list):
+    """A list that counts the items written into it."""
+
+    writes = 0
+
+    def __setitem__(self, i, value):
+        _CountedList.writes += 1
+        super().__setitem__(i, value)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("vi,vf,expected", [
+    (2, 4, {}),
+    (2, 6, {}),
+    (2, 8, {"tables": 2, "nodes": 6, "cuts": 2, "maps": 1, "certificates": 1}),
+    (3, 2, {"tables": 2, "nodes": 57, "cuts": 10, "maps": 1, "certificates": 1}),
+    (3, 4, {"tables": 4, "nodes": 92, "cuts": 15, "maps": 1, "certificates": 1}),
+    (4, 2, {"tables": 5, "nodes": 355, "cuts": 35, "maps": 1, "certificates": 1}),
+    (3, 6, {"tables": 9, "nodes": 240, "cuts": 24, "maps": 1, "certificates": 1}),
+    (2, 10, {"tables": 3, "nodes": 21, "cuts": 10, "maps": 2, "certificates": 2}),
+    (1, 12, {}),
+    (0, 14, {}),
+])
+def test_dual_engine_work_counts(monkeypatch, vi, vf, expected, reverse):
+    # what each prune leaves: the triangulations past the charge test, the
+    # nodes and cuts of their searches, and the maps past the diagonal rule
+    # and the orbits, each of which passes Andreev's conditions here
+    calls = Counter()
+    cuts = census._cuts
+
+    def counted_cuts(charge, *args):
+        _CountedList.writes = 0
+        for cut in cuts(_CountedList(charge), *args):
+            calls["cuts"] += 1
+            yield cut
+        calls["nodes"] += _CountedList.writes // 4  # two raised charges, two restored
+
+    monkeypatch.setattr(census, "_cuts", counted_cuts)
+    for name, key in [("_admissible_edges", "tables"), ("_primal_map", "maps"),
+                      ("_canonical_form", "certificates")]:
+        monkeypatch.setattr(census, name, _counted(getattr(census, name), calls, key))
+    census._dual_certificates(vi, vf, reverse)
+    assert calls == expected
+
+
+def _is_the_validated_map(m):
+    """True when `_sphere_map` accepts the faces of m and builds m again."""
+    full = _sphere_map(AbstractPolyhedron(m.poly.vertex_count, m.poly.faces))
+    return (m.degrees, m.dual, m.profile) == (full.degrees, full.dual, full.profile)
+
+
+def test_every_cut_gives_a_polyhedron():
+    # the polyhedrality lemma: every cut of every triangulation on up to 8
+    # vertices, with no prune, gives the map `_sphere_map` validates
+    maps = 0
+    for n in range(4, 9):
+        for rows, _ in _table(n):
+            edges = census._admissible_edges(rows)
+            for k in range(n):
+                for cut in census._cuts([0] * n, 0, edges, k, math.inf):
+                    m = census._primal_map(rows, cut)
+                    assert _is_the_validated_map(m), (rows, cut)
+                    assert (m.profile.v_inf, m.profile.f) == (k, n)
+                    maps += 1
+    assert maps == 3065
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_dual_engine_maps_match_the_validated_map(monkeypatch, reverse):
+    # the engine's own candidates, built with `_new_map`, on the tier-1 pairs
+    built = []
+    primal_map = census._primal_map
+
+    def recorded(rows, cut):
+        built.append(primal_map(rows, cut))
+        return built[-1]
+
+    monkeypatch.setattr(census, "_primal_map", recorded)
+    for vi, vf in _TIER1_PAIRS + [(1, 12), (0, 14)]:
+        census._dual_certificates(vi, vf, reverse)
+    assert all(map(_is_the_validated_map, built))
+    assert len(built) == 7
+
+
+def test_census_table_stops_at_nine_vertices():
+    with pytest.raises(ResourceLimitError, match=r"\(2,12\) needs 10"):
+        census._dual_certificates(2, 12, False)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -532,9 +716,10 @@ def test_face_prune_drops_no_realizable_type(reverse):
     found = {}
     for pair in candidate_pairs():
         degrees = (4,) * pair.v_inf + (3,) * pair.v_f
-        full = set(filter(None, map(census._certify, census._leaves(degrees, reverse))))
-        pruned = set(filter(None, map(census._certify,
-                                      census._leaves(degrees, reverse, census._closes_bad_face))))
+        full = set(filter(None, map(primal_census.certify,
+                                    primal_census.leaves(degrees, reverse))))
+        pruned = set(filter(None, map(primal_census.certify, primal_census.leaves(
+            degrees, reverse, primal_census.closes_bad_face))))
         assert pruned == full, (pair, reverse)
         found[pair.v_inf, pair.v_f] = len(full)
     assert found == {(2, 4): 0, (2, 6): 0, (2, 8): 1, (3, 2): 1, (3, 4): 1}
@@ -578,9 +763,11 @@ def test_face_charges_sum_to_the_euler_count_on_every_sphere_type():
 
 def test_compact_pairs_below_the_euler_count_have_no_andreev_type():
     # with no degree-4 vertex the charge sum V_f/2 - 10 is negative up to
-    # V_f = 18; the pruned search confirms it to V_f = 14
+    # V_f = 18, which the census reads off; the primal search confirms it
+    # to V_f = 14
     for vf in range(4, 15, 2):
         assert census._andreev_types(0, vf, False) == (), vf
+        assert primal_census.primal_types(0, vf) == [], vf
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -589,11 +776,13 @@ def test_one_ideal_vertex_pairs_have_no_andreev_type(reverse):
     # exceeds G only from V_finite = 14 on
     for vf in range(2, 13, 2):
         assert census._andreev_types(1, vf, reverse) == (), vf
+        assert primal_census.primal_types(1, vf, reverse) == [], vf
     # not for want of graphs: the unpruned search has sphere types there, none
     # of which passes Andreev's conditions
     for vf, types in [(2, 0), (4, 1), (6, 2), (8, 8)]:
         assert len(_sphere_type_certificates(1, vf)) == types
-        assert not any(map(census._certify, census._leaves((4,) + (3,) * vf, reverse))), vf
+        assert not any(map(primal_census.certify,
+                           primal_census.leaves((4,) + (3,) * vf, reverse))), vf
 
 
 def test_every_sphere_type_round_trips_with_the_census_invariants():
@@ -612,12 +801,12 @@ def test_every_sphere_type_round_trips_with_the_census_invariants():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_leaf_andreev_matches_the_round_trip(reverse):
-    # the census gate reads the leaf's own map, the verdict the rebuilt one
+    # the primal gate reads the leaf's own map, the census verdict the rebuilt one
     rebuilt = {}
     leaves = []
     for pair in candidate_pairs():
-        for adj in census._leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
-            m = census._leaf_map(adj)
+        for adj in primal_census.leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
+            m = primal_census.leaf_map(adj)
             if m is None:
                 continue
             cert = _canonical_form(m)
@@ -627,7 +816,7 @@ def test_leaf_andreev_matches_the_round_trip(reverse):
                       for reading in (READING_DISJOINT, READING_DISTINCT)]
             assert passed == [_andreev(rebuilt[cert], reading).passed
                               for reading in (READING_DISJOINT, READING_DISTINCT)]
-            assert census._certify(adj) == (cert if any(passed) else None)
+            assert primal_census.certify(adj) == (cert if any(passed) else None)
             leaves.append(any(passed))
     assert (len(leaves), len(rebuilt)) == (354, 80)
     assert 0 < sum(leaves) < len(leaves)
@@ -638,8 +827,8 @@ def test_leaf_map_matches_the_validated_map(reverse):
     # one builder behind both entry points: the lemma's counts and validate
     leaves = []
     for pair in candidate_pairs():
-        for adj in census._leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
-            m = census._leaf_map(adj)
+        for adj in primal_census.leaves((4,) * pair.v_inf + (3,) * pair.v_f, reverse):
+            m = primal_census.leaf_map(adj)
             if m is None:
                 continue
             full = _sphere_map(AbstractPolyhedron(len(adj), m.poly.faces))
@@ -670,25 +859,18 @@ def _counted(function, calls, key):
 def test_census_canonicalizes_only_leaves_that_pass_andreev(monkeypatch):
     census._andreev_types.cache_clear()
     calls = Counter()
-    leaf_map = census._leaf_map
-
-    def counted_leaf_map(adj):
-        m = leaf_map(adj)
-        calls["leaves"] += 1
-        calls["leaf maps"] += m is not None
-        return m
-
-    monkeypatch.setattr(census, "_leaf_map", counted_leaf_map)
-    for module, name, key in [(census, "_canonical_form", "leaf certificates"),
+    for module, name, key in [(census, "_primal_map", "maps"),
+                              (census, "_andreev", "Andreev checks"),
+                              (census, "_canonical_form", "certificates"),
                               (census, "_map_from_certificate", "round trips"),
                               (polyhedra, "_canonical_form", "other certificates"),
                               (polyhedra, "_sphere_map", "_sphere_map")]:
         monkeypatch.setattr(module, name, _counted(getattr(module, name), calls, key))
     assert verify_minimality().verified
     # 3 other certificates, the round trips': the closed-form names are
-    # literals; 90 leaves and 5 leaf maps, not 1,433 and 354, because the
-    # search drops graphs with a face failing the lemma
-    assert calls == {"leaves": 90, "leaf maps": 5, "leaf certificates": 5,
+    # literals; 3 maps, one per type, each built with `_new_map`; and 3
+    # more Andreev checks, one per rebuilt type under the reading
+    assert calls == {"maps": 3, "Andreev checks": 6, "certificates": 3,
                      "round trips": 3, "other certificates": 3, "_sphere_map": 3}
 
 
@@ -855,9 +1037,9 @@ def _reference_certify(adj):
 ], ids=lambda d: f"{d.count(4)}-{d.count(3)}")
 def test_leaf_check_matches_the_references(degrees, reverse):
     leaves = 0
-    for adj in census._leaves(degrees, reverse):
+    for adj in primal_census.leaves(degrees, reverse):
         graph = dict(enumerate(adj))
-        assert census._peripheral_cycles(graph) == _reference_peripheral_cycles(graph)
+        assert primal_census.peripheral_cycles(graph) == _reference_peripheral_cycles(graph)
         assert _leaf_certificate(adj) == _reference_certify(adj), [sorted(a) for a in adj]
         leaves += 1
     assert leaves
@@ -895,10 +1077,10 @@ def test_canonical_form_matches_the_full_search():
 
 
 def _labelled_polyhedral_graphs(degrees):
-    """Graphs on 0..n-1 with these degrees that `_leaf_map` accepts, each once.
+    """Graphs on 0..n-1 with these degrees that `primal_census.leaf_map` accepts, each once.
 
     Vertex i takes every set of higher neighbours with room left: no
-    symmetry pruning and no dedup, unlike `census._leaves`.
+    symmetry pruning and no dedup, unlike `primal_census.leaves`.
     """
     n = len(degrees)
     adj = [set() for _ in degrees]
@@ -907,7 +1089,7 @@ def _labelled_polyhedral_graphs(degrees):
     def rec(i):
         nonlocal count
         if i == n:
-            count += census._leaf_map(adj) is not None
+            count += primal_census.leaf_map(adj) is not None
             return
         room = [j for j in range(i + 1, n) if len(adj[j]) < degrees[j]]
         for combo in combinations(room, degrees[i] - len(adj[i])):
